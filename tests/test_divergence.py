@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from phidetect import (
     SortedPValueSample,
     kappa,
     phi,
+    replicate_rng,
     sup_statistic,
     sup_statistic_values,
+    uniform_open,
     z_sup,
 )
 
@@ -343,3 +346,26 @@ def test_higher_criticism_identity():
         lhs = n * sup_statistic(sample, 2.0).value
         z = z_sup(sample, float(sample.values[0]), float(sample.values[-1]))
         assert lhs == pytest.approx(0.5 * z * z, rel=1e-12)
+
+
+def test_kernel_outputs_are_pinned():
+    """Digest of sup_statistic triples, sup_statistic_values and a kappa grid.
+
+    Pinned before the K_s regime switch was merged into one helper; covers
+    every regime, including s within S_REGIME_TOL of 0 and 1.
+    """
+    s_values = (-1.0, 0.0, 5e-9, 0.5, 1.0, 1.0 + 5e-9, 2.0, 3.0)
+    h = hashlib.sha256()
+    for n in (2, 3, 50, 500, 2000):
+        for k in range(3):
+            sample = SortedPValueSample.from_values(
+                uniform_open(replicate_rng(4711, 10 * n + k), n)
+            )
+            for s in s_values:
+                st = sup_statistic(sample, s)
+                h.update(f"{st.value!r},{st.argmax_index},{st.argmax_side.value};".encode())
+            h.update(sup_statistic_values(sample, s_values).tobytes())
+    g = np.arange(1, 100) / 100.0
+    for s in s_values:
+        h.update(kappa(s, g[:, None], g[None, :]).tobytes())
+    assert h.hexdigest() == "3a5f5b91757654bf9966d9be1b2251a2c8da63408d369837820a84689a986d6c"

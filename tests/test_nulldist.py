@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -26,6 +27,7 @@ from phidetect import (
     mc_null_tables,
     mc_pvalue,
 )
+from phidetect.nulldist import CACHE_VERSION
 
 # centering sequence r_n = loglog n + (1/2) logloglog n - (1/2) log(4 pi),
 # frozen from a 40-digit evaluation of the formula
@@ -279,3 +281,30 @@ def test_stats_roundtrip_exactly_through_json(tmp_path):
     cache_store(table, tmp_path)
     loaded = cache_load(tmp_path, 25, 0.5, 100, 321)
     np.testing.assert_array_equal(loaded.sorted_stats, table.sorted_stats)
+
+
+# Bytes of cached tables, pinned before any kernel refactor.  A change to the
+# kernel, the draws or the file format that alters them must bump
+# CACHE_VERSION (and RNG_ID if the draws change) and re-pin these digests.
+PINNED_TABLE_SHA256 = {
+    (50, -1.0): "2a64c3373d4462bdc2a80d36eae8939603226c06ecb4972c5c514e75a1727ddd",
+    (50, 0.0): "eb5792b814c405fe1ee79a0b479ab9d1bf78d390758012e0d1401ab55253fbc6",
+    (50, 0.5): "c7bfa9451885ecf73c7a94a13670b07d1e40da47c9bcc7750f1b720f72bcab5c",
+    (50, 1.0): "e4ee103ab94ffca4627c9b78ddd2a163ab0ffd1b84eb3bbeeaf207f3ccf00d6e",
+    (50, 2.0): "54ec8db476c2c9fb5c2ad430e40943588d5240051b2dbacc78f2b3fecab66ac2",
+    (2000, -1.0): "89e42e7f55ec994485f1d4ee7147ac7307d8a6ebbc6f71a31305d65dd8d97319",
+    (2000, 0.0): "93674aa77f7965ff524ff223748a76512c0baf61e392bd388f6e63871e7452b5",
+    (2000, 0.5): "a253b633cca2a97c98aef10b3a548ffa51be8cc68b374f5ad510b8d930c19a62",
+    (2000, 1.0): "49ccb548dd09d03af2ae40fd91271acd1ad53f20825fac2ba56afc96a2b8fdf7",
+    (2000, 2.0): "a6bead611860b43174762c6396578e9fe856ee1a877cd5d3074593686ab1c0ab",
+}
+
+
+def test_cached_table_bytes_are_pinned(tmp_path):
+    assert (CACHE_VERSION, RNG_ID) == (1, "philox4x64-counter128-v1")
+    got = {}
+    for n in (50, 2000):
+        for table in mc_null_tables(n, (-1.0, 0.0, 0.5, 1.0, 2.0), 200, 20260):
+            path = cache_store(table, tmp_path)
+            got[(n, table.s)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == PINNED_TABLE_SHA256
