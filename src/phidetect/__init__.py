@@ -24,7 +24,6 @@ from .divergence import (
 )
 from .nulldist import (
     CalibrationTable,
-    GumbelLimit,
     asymptotic_critical,
     cache_load,
     cache_path,
@@ -57,7 +56,6 @@ from .models import (
     fitted_tail_exponent,
     h_exponent,
     h_exponent_normal,
-    laplace_transform,
     location_gumbel_family,
     location_gumbel_mixture,
     mixture_family,
@@ -69,7 +67,6 @@ from .models import (
     scale_frechet_mixture,
     signal_cdf_transformed,
     to_pvalues,
-    var_T,
 )
 from .boundary import (
     RegimeClassification,

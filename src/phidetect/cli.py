@@ -30,7 +30,7 @@ from . import boundary as boundary_mod
 from .errors import CacheCorruptionError, DomainError
 from .experiments import (
     PowerGridConfig,
-    atomic_write_text,
+    power_csv,
     power_sweep,
     run_divergence_test,
     write_power_csv,
@@ -50,6 +50,7 @@ from .models import (
 )
 from .nulldist import (
     asymptotic_critical,
+    atomic_write_text,
     centering_offset,
     ensure_table,
     mc_critical,
@@ -273,11 +274,7 @@ def cmd_power(args) -> int:
     if out_paths["json"]:
         wrote.append(str(write_power_json(results, out_paths["json"])))
     if not wrote:
-        from .experiments import POWER_CSV_FIELDS, _fmt, _result_row
-
-        print(",".join(POWER_CSV_FIELDS))
-        for r in results:
-            print(",".join(_fmt(v) for v in _result_row(r)))
+        sys.stdout.write(power_csv(results))
     else:
         for path in wrote:
             print(f"wrote {path}")

@@ -164,19 +164,30 @@ def phi(s: float | PhiIndex, x) -> float | np.ndarray:
     return out
 
 
+def _k_from_logs(idx: PhiIndex, u, v, cv, L1, L2) -> np.ndarray:
+    """K_s(u, v) from the shared logs L1 = log(u/v), L2 = log((1-u)/(1-v)).
+
+    ``cv`` is 1 - v.  This is the only place the s-regime switch for K_s is
+    written; every K_s evaluation in the package goes through it.  Callers
+    that can overflow ``expm1`` (p-values near 0) silence it themselves, so
+    the table builder's inner loop pays for no ``errstate``.
+    """
+    if idx.regime is Regime.LIMIT_S0:
+        return -(v * L1 + cv * L2)
+    if idx.regime is Regime.LIMIT_S1:
+        return u * L1 + (1.0 - u) * L2
+    sv = idx.s
+    return -(v * np.expm1(sv * L1) + cv * np.expm1(sv * L2)) / (sv * (1.0 - sv))
+
+
 def _kappa_arrays(idx: PhiIndex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Core K_s evaluation on validated arrays (broadcasting allowed)."""
     d = u - v
     cv = 1.0 - v
     L1 = np.log1p(d / v)
     L2 = np.log1p(-d / cv)
-    if idx.regime is Regime.LIMIT_S0:
-        return -(v * L1 + cv * L2)
-    if idx.regime is Regime.LIMIT_S1:
-        return u * L1 + (1.0 - u) * L2
-    sv = idx.s
     with np.errstate(over="ignore"):
-        return -(v * np.expm1(sv * L1) + cv * np.expm1(sv * L2)) / (sv * (1.0 - sv))
+        return _k_from_logs(idx, u, v, cv, L1, L2)
 
 
 def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
@@ -200,39 +211,32 @@ def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
 def _sup_candidates(values: np.ndarray):
     """Endpoint candidate pairs (u, v) shared by all s.
 
-    Returns (uu, vv, L1, L2) arrays of length 2(n-1): the left-endpoint
+    Returns (uu, vv, cv, L1, L2) arrays of length 2(n-1): the left-endpoint
     candidates (i/n, X_{i:n}) followed by the right-endpoint candidates
-    (i/n, X_{i+1:n}).
+    (i/n, X_{i+1:n}), with cv = 1 - vv and the logs that ``_k_from_logs``
+    consumes.
     """
     n = values.size
     u = np.arange(1, n, dtype=np.float64) / n
     uu = np.concatenate([u, u])
     vv = np.concatenate([values[:-1], values[1:]])
+    cv = 1.0 - vv
     d = uu - vv
     L1 = np.log1p(d / vv)
-    L2 = np.log1p(-d / (1.0 - vv))
-    return uu, vv, L1, L2
+    L2 = np.log1p(-d / cv)
+    return uu, vv, cv, L1, L2
 
 
 def _sup_values_raw(values: np.ndarray, s_list) -> np.ndarray:
     """S_n(s) for several s on one pre-sorted array (no metadata, no checks).
 
-    The L1/L2 logs are computed once and shared across all s; this is the
+    The candidate logs are computed once and shared across all s; this is the
     fast path the Monte-Carlo table builder runs millions of times.
     """
-    uu, vv, L1, L2 = _sup_candidates(values)
-    cv = 1.0 - vv
+    cand = _sup_candidates(values)
     out = np.empty(len(s_list), dtype=np.float64)
     for j, s in enumerate(s_list):
-        idx = _as_index(s)
-        if idx.regime is Regime.LIMIT_S0:
-            k = -(vv * L1 + cv * L2)
-        elif idx.regime is Regime.LIMIT_S1:
-            k = uu * L1 + (1.0 - uu) * L2
-        else:
-            sv = idx.s
-            k = -(vv * np.expm1(sv * L1) + cv * np.expm1(sv * L2)) / (sv * (1.0 - sv))
-        out[j] = k.max()
+        out[j] = _k_from_logs(_as_index(s), *cand).max()
     return out
 
 
@@ -248,15 +252,9 @@ def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> Divergence
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     idx = _as_index(s)
-    uu, vv, L1, L2 = _sup_candidates(sample.values)
-    if idx.regime is Regime.LIMIT_S0:
-        k = -(vv * L1 + (1.0 - vv) * L2)
-    elif idx.regime is Regime.LIMIT_S1:
-        k = uu * L1 + (1.0 - uu) * L2
-    else:
-        sv = idx.s
-        with np.errstate(over="ignore"):
-            k = -(vv * np.expm1(sv * L1) + (1.0 - vv) * np.expm1(sv * L2)) / (sv * (1.0 - sv))
+    cand = _sup_candidates(sample.values)
+    with np.errstate(over="ignore"):
+        k = _k_from_logs(idx, *cand)
     m = sample.n - 1
     kl, kr = k[:m], k[m:]
     il = int(np.argmax(kl))

@@ -19,10 +19,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +32,7 @@ from .errors import DomainError
 from .models import MixtureSpec, mixture_family, sample_mixture, to_pvalues
 from .nulldist import (
     CalibrationTable,
+    atomic_write_text,
     centering_offset,
     critical_from_sorted,
     ensure_table,
@@ -59,6 +58,7 @@ __all__ = [
     "BoundaryComparison",
     "boundary_comparison",
     "POWER_CSV_FIELDS",
+    "power_csv",
     "write_power_csv",
     "write_power_json",
 ]
@@ -229,8 +229,8 @@ class PowerResult:
     """One grid cell: coordinates, rejection rate, Wilson 99% CI.
 
     ``seed`` is the derived per-cell seed (enough to replay the cell alone).
-    ``runtime_ms`` is informational and excluded from equality; ``error``
-    marks a failed cell (rate and CI are NaN there).
+    ``error`` marks a failed cell (rate and CI are NaN there).  No timing is
+    carried, so equal configurations give byte-identical result files.
     """
 
     family: str
@@ -243,7 +243,6 @@ class PowerResult:
     seed: int
     rejection_rate: float
     wilson_ci: tuple[float, float]
-    runtime_ms: float = field(compare=False, default=0.0)
     error: str | None = None
 
     def __post_init__(self):
@@ -261,16 +260,6 @@ def cell_seed(master_seed: int, family: str, beta: float, r: float, s: float, n:
 def _run_cell(config: PowerGridConfig, coords: tuple[float, float, float, int]) -> PowerResult:
     beta, r, s, n = coords
     seed = cell_seed(config.seed, config.family, beta, r, s, n)
-    t0 = time.perf_counter()
-
-    def _fail(exc: BaseException) -> PowerResult:
-        return PowerResult(
-            config.family, beta, r, s, n, config.alpha, config.reps, seed,
-            rejection_rate=math.nan, wilson_ci=(math.nan, math.nan),
-            runtime_ms=(time.perf_counter() - t0) * 1e3,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
     try:
         fam = mixture_family(config.family, regime=config.regime,
                              **dict(config.family_params))
@@ -287,12 +276,15 @@ def _run_cell(config: PowerGridConfig, coords: tuple[float, float, float, int]) 
             stat = n * sup_statistic(sample, s).value - rn
             rejects += stat > crit
     except Exception as exc:
-        return _fail(exc)
+        return PowerResult(
+            config.family, beta, r, s, n, config.alpha, config.reps, seed,
+            rejection_rate=math.nan, wilson_ci=(math.nan, math.nan),
+            error=f"{type(exc).__name__}: {exc}",
+        )
     lo, hi = wilson_interval(rejects, config.reps)
     return PowerResult(
         config.family, beta, r, s, n, config.alpha, config.reps, seed,
         rejection_rate=rejects / config.reps, wilson_ci=(lo, hi),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -402,42 +394,29 @@ def boundary_comparison(
 
 POWER_CSV_FIELDS = (
     "family", "beta", "r", "s", "n", "alpha", "reps", "seed",
-    "rate", "ci_lo", "ci_hi", "runtime_ms",
+    "rate", "ci_lo", "ci_hi",
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def power_csv(results) -> str:
+    """Power results as CSV text: the header, then one row per cell.
 
-
-def atomic_write_text(path, text: str) -> Path:
-    """Write a file via temp-then-rename so readers never see partial output."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
-
-
-def _result_row(res: PowerResult) -> list:
-    return [
-        res.family, res.beta, res.r, res.s, res.n, res.alpha, res.reps, res.seed,
-        res.rejection_rate, res.wilson_ci[0], res.wilson_ci[1], res.runtime_ms,
+    Floats go through ``repr`` (shortest round-trip form), so the text is a
+    pure function of the results.
+    """
+    rows = [POWER_CSV_FIELDS] + [
+        (r.family, r.beta, r.r, r.s, r.n, r.alpha, r.reps, r.seed,
+         r.rejection_rate, r.wilson_ci[0], r.wilson_ci[1])
+        for r in results
     ]
+    return "".join(
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
 
 
 def write_power_csv(results, path) -> Path:
-    lines = [",".join(POWER_CSV_FIELDS)]
-    lines += [",".join(_fmt(v) for v in _result_row(r)) for r in results]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, power_csv(results))
 
 
 def write_power_json(results, path) -> Path:

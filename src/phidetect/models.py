@@ -41,8 +41,6 @@ __all__ = [
     "Gumbel",
     "Frechet",
     "ExponentialFamily",
-    "laplace_transform",
-    "var_T",
     "fitted_tail_exponent",
     "scale_exponential_family",
     "location_gumbel_family",
@@ -100,12 +98,6 @@ class Distribution:
     def sample(self, n: int, rng) -> np.ndarray:
         return self.quantile(uniform_open(rng, n))
 
-    def log_density_ratio_vs(self, noise: "Distribution") -> Callable:
-        """Return x -> log(dself/dnoise)(x); implemented per closed-form pair."""
-        raise NotImplementedError(
-            f"no closed-form density ratio between {self.name} and {noise.name}"
-        )
-
 
 def _check_unit_open(u, what: str = "probability") -> np.ndarray:
     ua = np.asarray(u, dtype=np.float64)
@@ -138,11 +130,6 @@ class Uniform(Distribution):
             )
         return out
 
-    def log_density_ratio_vs(self, noise):
-        if isinstance(noise, Uniform):
-            return lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))
-        return super().log_density_ratio_vs(noise)
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -163,21 +150,6 @@ class Normal(Distribution):
 
     def quantile_upper(self, eps):
         return self.mu - self.sigma * ndtri(_check_unit_open(eps))
-
-    def log_density_ratio_vs(self, noise):
-        if isinstance(noise, Normal):
-            m0, s0, m1, s1 = noise.mu, noise.sigma, self.mu, self.sigma
-
-            def ratio(x):
-                xa = np.asarray(x, dtype=np.float64)
-                return (
-                    math.log(s0 / s1)
-                    + 0.5 * ((xa - m0) / s0) ** 2
-                    - 0.5 * ((xa - m1) / s1) ** 2
-                )
-
-            return ratio
-        return super().log_density_ratio_vs(noise)
 
 
 @dataclass(frozen=True)
@@ -202,16 +174,6 @@ class Exponential(Distribution):
     def quantile_upper(self, eps):
         return -self.scale * np.log(_check_unit_open(eps))
 
-    def log_density_ratio_vs(self, noise):
-        if isinstance(noise, Exponential):
-            b0, b1 = noise.scale, self.scale
-
-            def ratio(x):
-                return math.log(b0 / b1) + np.asarray(x, dtype=np.float64) * (1.0 / b0 - 1.0 / b1)
-
-            return ratio
-        return super().log_density_ratio_vs(noise)
-
 
 @dataclass(frozen=True)
 class Gumbel(Distribution):
@@ -234,17 +196,6 @@ class Gumbel(Distribution):
     def quantile_upper(self, eps):
         return self.loc - np.log(-np.log1p(-_check_unit_open(eps)))
 
-    def log_density_ratio_vs(self, noise):
-        if isinstance(noise, Gumbel):
-            m0, m1 = noise.loc, self.loc
-
-            def ratio(x):
-                xa = np.asarray(x, dtype=np.float64)
-                return (m1 - m0) + np.exp(-xa) * (math.exp(m0) - math.exp(m1))
-
-            return ratio
-        return super().log_density_ratio_vs(noise)
-
 
 @dataclass(frozen=True)
 class Frechet(Distribution):
@@ -262,28 +213,14 @@ class Frechet(Distribution):
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(xa)
         pos = xa > 0.0
-        out = np.where(pos, np.exp(-(np.where(pos, xa, 1.0) / self.scale) ** (-self.shape)), 0.0)
-        return out
+        return np.where(pos, np.exp(-(np.where(pos, xa, 1.0) / self.scale) ** (-self.shape)), 0.0)
 
     def quantile(self, u):
         return self.scale * (-np.log(_check_unit_open(u))) ** (-1.0 / self.shape)
 
     def quantile_upper(self, eps):
         return self.scale * (-np.log1p(-_check_unit_open(eps))) ** (-1.0 / self.shape)
-
-    def log_density_ratio_vs(self, noise):
-        if isinstance(noise, Frechet) and noise.shape == self.shape:
-            a = self.shape
-            s0a, s1a = noise.scale**a, self.scale**a
-
-            def ratio(x):
-                xa = np.asarray(x, dtype=np.float64)
-                return a * math.log(self.scale / noise.scale) + (s0a - s1a) * xa ** (-a)
-
-            return ratio
-        return super().log_density_ratio_vs(noise)
 
 
 # --------------------------------------------------------------------------
@@ -396,14 +333,6 @@ class ExponentialFamily:
         m1 = _quad_unit(lambda w: float(T(Q(w))), "E[T]")
         m2 = _quad_unit(lambda w: float(T(Q(w))) ** 2, "E[T^2]")
         return m2 - m1 * m1
-
-
-def laplace_transform(model: ExponentialFamily, theta: float) -> float:
-    return model.laplace_transform(theta)
-
-
-def var_T(model: ExponentialFamily) -> float:
-    return model.var_T()
 
 
 def fitted_tail_exponent(family: ExponentialFamily, u_grid=None) -> float:
@@ -530,11 +459,6 @@ class _NumericTilt(Distribution):
             vs[i] = 0.5 * (lo + hi)
         out = self._family.base.quantile(np.clip(vs, 1e-15, 1.0 - 1e-15))
         return float(out[0]) if np.ndim(u) == 0 else out
-
-    def log_density_ratio_vs(self, noise):
-        if noise is self._family.base or noise == self._family.base:
-            return self._family.log_ratio(self._theta)
-        return super().log_density_ratio_vs(noise)
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "CACHE_VERSION",
     "centering",
     "centering_offset",
-    "GumbelLimit",
     "gumbel_cdf",
     "gumbel_quantile",
     "asymptotic_critical",
@@ -95,13 +94,6 @@ def gumbel_quantile(p) -> float | np.ndarray:
         raise DomainError("gumbel_quantile requires 0 < p < 1")
     out = _LOG_4 - np.log(-np.log(pa))
     return float(out) if np.ndim(p) == 0 else out
-
-
-class GumbelLimit:
-    """The fixed limit law of n*S_n(s) - r_n (same for every s)."""
-
-    cdf = staticmethod(gumbel_cdf)
-    quantile = staticmethod(gumbel_quantile)
 
 
 def asymptotic_critical(n: int, alpha: float) -> float:
@@ -252,6 +244,21 @@ def mc_pvalue(table: CalibrationTable, statistic: float) -> float:
 # write-to-temp + atomic rename; safe for concurrent writers (same key =>
 # identical bytes, so whichever rename lands last changes nothing).
 
+def atomic_write_text(path, text: str) -> Path:
+    """Write a file via temp-then-rename so readers never see partial output."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+    return path
+
+
 def _key_digest(n: int, s: float, reps: int, seed: int, rng_id: str, version: int) -> str:
     blob = json.dumps(
         {"n": n, "s": repr(float(s)), "reps": reps, "seed": seed,
@@ -269,8 +276,6 @@ def cache_path(cache_dir, n: int, s: float, reps: int, seed: int,
 
 def cache_store(table: CalibrationTable, cache_dir) -> Path:
     """Persist a table; atomic (write-then-rename), returns the file path."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_path(cache_dir, table.n, table.s, table.reps, table.seed,
                       table.rng_id, table.version)
     doc = {
@@ -282,16 +287,7 @@ def cache_store(table: CalibrationTable, cache_dir) -> Path:
         "rng_id": table.rng_id,
         "sorted_stats": table.sorted_stats.tolist(),
     }
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
+    return atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def cache_load(cache_dir, n: int, s: float, reps: int, seed: int) -> CalibrationTable | None:

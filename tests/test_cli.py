@@ -241,6 +241,25 @@ def test_cmd_power_stdout_csv(capsys, tmp_path):
     assert lines[-1] == "2 cells, 0 failed"
 
 
+def test_cmd_power_results_are_byte_identical(capsys, tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(POWER_INI)
+    code, out, _ = _run(capsys, ["power", "--config", ini,
+                                 "--cache-dir", tmp_path / "cache"])
+    assert code == 0
+    stdout_csv = out[: out.rindex("2 cells, 0 failed")]
+    files = []
+    for run in ("a", "b"):
+        csv_path, json_path = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        ini.write_text(POWER_INI + f"\n[output]\ncsv = {csv_path}\njson = {json_path}\n")
+        code, _, _ = _run(capsys, ["power", "--config", ini,
+                                   "--cache-dir", tmp_path / "cache"])
+        assert code == 0
+        files.append((csv_path.read_bytes(), json_path.read_bytes()))
+    assert files[0] == files[1]
+    assert files[0][0] == stdout_csv.encode("utf-8")
+
+
 def test_cmd_power_config_errors(capsys, tmp_path):
     ini = tmp_path / "broken.ini"
     ini.write_text("[model]\nfamily = normal\n")  # no [grid]

@@ -21,7 +21,6 @@ from phidetect import (
     fitted_tail_exponent,
     h_exponent,
     h_exponent_normal,
-    laplace_transform,
     location_gumbel_family,
     mixture_family,
     normal_location_mixture,
@@ -31,7 +30,6 @@ from phidetect import (
     scale_frechet_family,
     signal_cdf_transformed,
     to_pvalues,
-    var_T,
 )
 from phidetect.models import Distribution, MIXTURE_FAMILY_NAMES, heteroscedastic_normal_mixture
 
@@ -108,30 +106,32 @@ def test_parameter_validation():
 
 
 def test_density_ratios_match_logpdf_differences():
-    x = np.array([-1.3, 0.2, 0.9, 2.4])
-    got = Normal(1.0, 2.0).log_density_ratio_vs(Normal())(x)
-    want = stats.norm.logpdf(x, 1.0, 2.0) - stats.norm.logpdf(x)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    """MixtureSpec.log_ratio() against scipy logpdf differences, per family.
 
-    xp = np.array([0.1, 0.8, 3.0])
-    got = Exponential(0.5).log_density_ratio_vs(Exponential(2.0))(xp)
-    want = stats.expon.logpdf(xp, scale=0.5) - stats.expon.logpdf(xp, scale=2.0)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    got = Gumbel(0.7).log_density_ratio_vs(Gumbel(-0.2))(x)
-    want = stats.gumbel_r.logpdf(x, loc=0.7) - stats.gumbel_r.logpdf(x, loc=-0.2)
-    np.testing.assert_allclose(got, want, rtol=1e-11)
-
-    got = Frechet(2.0, 1.5).log_density_ratio_vs(Frechet(2.0, 1.0))(xp)
-    want = stats.invweibull.logpdf(xp, 2.0, scale=1.5) - stats.invweibull.logpdf(xp, 2.0, scale=1.0)
-    np.testing.assert_allclose(got, want, rtol=1e-11)
-
-
-def test_density_ratio_unavailable_pairs():
-    with pytest.raises(NotImplementedError):
-        Frechet(2.0).log_density_ratio_vs(Frechet(3.0))
-    with pytest.raises(NotImplementedError):
-        Normal().log_density_ratio_vs(Exponential())
+    The scipy signal laws are built from theta_n and the documented tilts,
+    not from ``spec.signal``, so the closed-form ratios are checked
+    independently of the package's own signal constructors.
+    """
+    line = np.array([-1.3, 0.2, 0.9, 2.4, 4.0])
+    half_line = np.array([0.5, 1.2, 3.0, 9.0])
+    cases = [
+        ("normal", {}, 0.6, line,
+         lambda th, x: stats.norm.logpdf(x, th) - stats.norm.logpdf(x)),
+        ("heteroscedastic-normal", {"sigma0": 1.7}, 0.6, line,
+         lambda th, x: stats.norm.logpdf(x, th, 1.7) - stats.norm.logpdf(x)),
+        ("scale-exponential", {}, 0.3, half_line,
+         lambda th, x: stats.expon.logpdf(x, scale=1.0 / (1.0 + th)) - stats.expon.logpdf(x)),
+        ("location-gumbel", {}, 0.6, line,
+         lambda th, x: stats.gumbel_r.logpdf(x, loc=math.log1p(th)) - stats.gumbel_r.logpdf(x)),
+        ("scale-frechet", {"shape": 2.0}, 0.6, half_line,
+         lambda th, x: stats.invweibull.logpdf(x, 2.0, scale=(1.0 + th) ** 0.5)
+         - stats.invweibull.logpdf(x, 2.0)),
+    ]
+    for name, params, beta, x, want in cases:
+        spec = MixtureSpec(mixture_family(name, **params), beta, 0.4, 500)
+        got = spec.log_ratio()(x)
+        np.testing.assert_allclose(got, want(spec.theta, x), rtol=1e-11, atol=1e-12,
+                                   err_msg=name)
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_laplace_closed_forms(fam):
     assert fam.laplace_transform(0.0) == pytest.approx(1.0, rel=1e-12)
     assert fam.laplace_transform(1.0) == pytest.approx(0.5, rel=1e-12)
     assert fam.C(1.0) == pytest.approx(2.0, rel=1e-12)
-    assert laplace_transform(fam, 3.0) == pytest.approx(0.25, rel=1e-12)
+    assert fam.laplace_transform(3.0) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_laplace_quadrature_agrees_with_closed_form():
@@ -165,7 +165,7 @@ def test_laplace_quadrature_agrees_with_closed_form():
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_var_T_is_one(fam):
     # T is exponential(1)-distributed under each base law here
-    assert var_T(fam) == pytest.approx(1.0, abs=1e-7)
+    assert fam.var_T() == pytest.approx(1.0, abs=1e-7)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)

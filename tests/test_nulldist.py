@@ -10,7 +10,6 @@ from phidetect import (
     CacheCorruptionError,
     CalibrationTable,
     DomainError,
-    GumbelLimit,
     RNG_ID,
     asymptotic_critical,
     cache_load,
@@ -79,8 +78,6 @@ def test_gumbel_quantile_values_and_roundtrip():
     for bad in (0.0, 1.0, -0.1):
         with pytest.raises(DomainError):
             gumbel_quantile(bad)
-    assert GumbelLimit.cdf(2.0) == gumbel_cdf(2.0)
-    assert GumbelLimit.quantile(0.5) == gumbel_quantile(0.5)
 
 
 def test_asymptotic_critical():
