@@ -30,14 +30,10 @@ from .nulldist import (
     cache_store,
     centering,
     centering_offset,
-    ensure_table,
     ensure_tables,
     gumbel_cdf,
     gumbel_quantile,
-    mc_critical,
-    mc_null_table,
     mc_null_tables,
-    mc_pvalue,
 )
 from .models import (
     CurveKind,

@@ -51,9 +51,10 @@ from .models import (
 from .nulldist import (
     asymptotic_critical,
     atomic_write_text,
+    cache_path,
     centering_offset,
-    ensure_table,
-    mc_critical,
+    critical_from_sorted,
+    ensure_tables,
 )
 
 S_DEFAULT_CAVEAT = (
@@ -127,8 +128,8 @@ def cmd_test(args) -> int:
         print(S_DEFAULT_CAVEAT, file=sys.stderr)
     sample = to_pvalues(data, factory())
     n = sample.n
-    table = ensure_table(default_cache_dir(args.cache_dir), n, s, args.reps,
-                         args.seed, workers=args.workers)
+    table = ensure_tables(default_cache_dir(args.cache_dir), n, [s], args.reps,
+                          args.seed, workers=args.workers)[float(s)]
     outcome = run_divergence_test(sample, s, table, args.alpha)
     try:
         asym = n * asymptotic_critical(n, args.alpha) - centering_offset(n)
@@ -175,11 +176,10 @@ def _parse_float_list(text: str) -> list[float]:
 def cmd_calibrate(args) -> int:
     alphas = _parse_float_list(args.alpha_list)
     cache = default_cache_dir(args.cache_dir)
-    table = ensure_table(cache, args.n, args.s, args.reps, args.seed, workers=args.workers)
-    from .nulldist import cache_path  # local import keeps the namespace tidy
-
+    table = ensure_tables(cache, args.n, [args.s], args.reps, args.seed,
+                          workers=args.workers)[float(args.s)]
     path = cache_path(cache, table.n, table.s, table.reps, table.seed)
-    criticals = {repr(float(a)): mc_critical(table, a) for a in alphas}
+    criticals = {repr(float(a)): critical_from_sorted(table.sorted_stats, a) for a in alphas}
     payload = {
         "table_file": str(path),
         "n": table.n,
@@ -198,7 +198,7 @@ def cmd_calibrate(args) -> int:
         _kv("seed", table.seed),
     ]
     for a in alphas:
-        lines.append(_kv(f"mc_critical[{a!r}]", mc_critical(table, a)))
+        lines.append(_kv(f"mc_critical[{a!r}]", criticals[repr(float(a))]))
         try:
             asym = table.n * asymptotic_critical(table.n, a) - centering_offset(table.n)
             lines.append(_kv(f"asymptotic[{a!r}]", f"{asym!r}  [{ADVISORY_LABEL}]"))
@@ -218,29 +218,34 @@ def _split_values(text: str) -> list[str]:
 
 
 def _load_ini(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path, "r", encoding="utf-8") as fh:
         cp.read_file(fh)
     return cp
+
+
+def _model_fields(model: configparser.SectionProxy) -> dict:
+    """The mixture fields of a ``[model]`` section, named as in PowerGridConfig."""
+    return {
+        "family": model.get("family", "normal"),
+        "regime": model.get("regime", None),
+        "family_params": tuple((k, model.getfloat(k)) for k in ("sigma0", "shape") if k in model),
+        "epsilon_override": (model.getfloat("epsilon_override")
+                             if "epsilon_override" in model else None),
+    }
 
 
 def _power_config_from_ini(cp: configparser.ConfigParser, workers: int,
                            cache_flag) -> tuple[PowerGridConfig, dict]:
     if "model" not in cp or "grid" not in cp:
         raise DomainError("power config needs [model] and [grid] sections")
-    model = cp["model"]
     grid = cp["grid"]
     calib = cp["calibration"] if "calibration" in cp else {}
     output = cp["output"] if "output" in cp else {}
-    known_params = ("sigma0", "shape")
-    family_params = tuple(
-        (k, model.getfloat(k)) for k in known_params if k in model
-    )
-    eps_override = model.getfloat("epsilon_override") if "epsilon_override" in model else None
     table_seed = int(calib["seed"]) if "seed" in calib else None
     cache_dir = default_cache_dir(cache_flag or calib.get("cache_dir"))
     config = PowerGridConfig(
-        family=model.get("family", "normal"),
+        **_model_fields(cp["model"]),
         betas=tuple(float(v) for v in _split_values(grid.get("betas", ""))),
         rs=tuple(float(v) for v in _split_values(grid.get("rs", ""))),
         s_values=tuple(float(v) for v in _split_values(grid.get("s", "2"))),
@@ -251,9 +256,6 @@ def _power_config_from_ini(cp: configparser.ConfigParser, workers: int,
         cache_dir=cache_dir,
         table_reps=int(calib["reps"]) if "reps" in calib else 10_000,
         table_seed=table_seed,
-        regime=model.get("regime", None),
-        family_params=family_params,
-        epsilon_override=eps_override,
         workers=workers,
     )
     out_paths = {
@@ -372,16 +374,11 @@ def _mixture_from_ini(cp: configparser.ConfigParser) -> MixtureSpec:
     for key in ("beta", "r", "n"):
         if key not in model:
             raise DomainError(f"diagnose [model] section needs '{key}'")
-    params = {}
-    if "sigma0" in model:
-        params["sigma0"] = model.getfloat("sigma0")
-    if "shape" in model:
-        params["shape"] = model.getfloat("shape")
-    fam = mixture_family(model.get("family", "normal"),
-                         regime=model.get("regime", None), **params)
-    eps_override = model.getfloat("epsilon_override") if "epsilon_override" in model else None
+    fields = _model_fields(model)
+    fam = mixture_family(fields["family"], regime=fields["regime"],
+                         **dict(fields["family_params"]))
     return MixtureSpec(fam, model.getfloat("beta"), model.getfloat("r"),
-                       int(model.getfloat("n")), epsilon_override=eps_override)
+                       int(model.getfloat("n")), epsilon_override=fields["epsilon_override"])
 
 
 def cmd_diagnose(args) -> int:

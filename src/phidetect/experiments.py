@@ -35,10 +35,8 @@ from .nulldist import (
     atomic_write_text,
     centering_offset,
     critical_from_sorted,
-    ensure_table,
     ensure_tables,
-    mc_critical,
-    mc_pvalue,
+    pvalue_from_sorted,
 )
 
 __all__ = [
@@ -120,8 +118,8 @@ def run_divergence_test(
             f"needed (n={sample.n}, s={float(s)})"
         )
     stat = scaled_statistic(sample, s)
-    crit = mc_critical(table, alpha)
-    return TestOutcome(stat, crit, stat > crit, mc_pvalue(table, stat))
+    crit = critical_from_sorted(table.sorted_stats, alpha)
+    return TestOutcome(stat, crit, stat > crit, pvalue_from_sorted(table.sorted_stats, stat))
 
 
 @dataclass(frozen=True)
@@ -257,24 +255,20 @@ def cell_seed(master_seed: int, family: str, beta: float, r: float, s: float, n:
     return stable_seed(master_seed, family, float(beta), float(r), float(s), int(n))
 
 
-def _run_cell(config: PowerGridConfig, coords: tuple[float, float, float, int]) -> PowerResult:
+def _run_cell(config: PowerGridConfig, coords: tuple[float, float, float, int],
+              crit: float) -> PowerResult:
+    """One grid cell against its precomputed critical value ``crit``."""
     beta, r, s, n = coords
     seed = cell_seed(config.seed, config.family, beta, r, s, n)
     try:
         fam = mixture_family(config.family, regime=config.regime,
                              **dict(config.family_params))
         spec = MixtureSpec(fam, beta, r, n, epsilon_override=config.epsilon_override)
-        table = ensure_table(config.cache_dir, n, s, config.table_reps,
-                             config.resolved_table_seed())
-        crit = mc_critical(table, config.alpha)
-        rn = centering_offset(n)
         rejects = 0
         for j in range(config.reps):
             rng = replicate_rng(seed, j)
             data, _ = sample_mixture(spec, rng)
-            sample = to_pvalues(data, spec.noise)
-            stat = n * sup_statistic(sample, s).value - rn
-            rejects += stat > crit
+            rejects += scaled_statistic(to_pvalues(data, spec.noise), s) > crit
     except Exception as exc:
         return PowerResult(
             config.family, beta, r, s, n, config.alpha, config.reps, seed,
@@ -292,18 +286,22 @@ def power_sweep(config: PowerGridConfig) -> list[PowerResult]:
     """Run every grid cell; per-cell failures are recorded, not raised.
 
     Results come back in grid order.  Calibration tables are resolved first
-    (one shared-draw build per n covering all s), so concurrent cells only
-    ever read the cache.
+    (one shared-draw build per n covering all s) and reduced to one critical
+    value per (n, s), so cells never touch the cache.
     """
     coords = config.cells()
     tseed = config.resolved_table_seed()
+    crit = {}
     for n in sorted(set(config.n_values)):
-        ensure_tables(config.cache_dir, n, config.s_values, config.table_reps,
-                      tseed, workers=config.workers)
+        tables = ensure_tables(config.cache_dir, n, config.s_values, config.table_reps,
+                               tseed, workers=config.workers)
+        for s, table in tables.items():
+            crit[(n, s)] = critical_from_sorted(table.sorted_stats, config.alpha)
+    crits = [crit[(n, s)] for _, _, s, n in coords]
     if config.workers <= 1:
-        return [_run_cell(config, c) for c in coords]
+        return [_run_cell(config, c, k) for c, k in zip(coords, crits)]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(_run_cell, itertools.repeat(config), coords))
+        return list(pool.map(_run_cell, itertools.repeat(config), coords, crits))
 
 
 # --------------------------------------------------------------------------
@@ -362,8 +360,7 @@ def boundary_comparison(
     s_list = [float(s) for s in s_values]
     tseed = table_seed if table_seed is not None else stable_seed(seed, "calibration-tables")
     tables = ensure_tables(cache_dir, spec.n, s_list, table_reps, tseed, workers=workers)
-    crits = np.array([mc_critical(tables[s], alpha) for s in s_list])
-    rn = centering_offset(spec.n)
+    crits = np.array([critical_from_sorted(tables[s].sorted_stats, alpha) for s in s_list])
     null_seed = stable_seed(seed, "boundary-null")
     alt_seed = stable_seed(seed, "boundary-alt")
     rej_null = np.zeros(len(s_list), dtype=np.int64)
@@ -372,12 +369,10 @@ def boundary_comparison(
     lr_rej_alt = 0
     for j in range(reps):
         x0 = spec.noise.sample(spec.n, replicate_rng(null_seed, j))
-        stats0 = spec.n * sup_statistic_values(to_pvalues(x0, spec.noise), s_list) - rn
-        rej_null += stats0 > crits
+        rej_null += scaled_statistics(to_pvalues(x0, spec.noise), s_list) > crits
         lr_rej_null += log_likelihood_ratio(x0, spec) >= 0.0
         x1, _ = sample_mixture(spec, replicate_rng(alt_seed, j))
-        stats1 = spec.n * sup_statistic_values(to_pvalues(x1, spec.noise), s_list) - rn
-        rej_alt += stats1 > crits
+        rej_alt += scaled_statistics(to_pvalues(x1, spec.noise), s_list) > crits
         lr_rej_alt += log_likelihood_ratio(x1, spec) >= 0.0
     error_sums = tuple((rej_null + (reps - rej_alt)) / reps)
     lr_error_sum = (lr_rej_null + (reps - lr_rej_alt)) / reps

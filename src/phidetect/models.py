@@ -9,9 +9,9 @@ three conventions, fixed per family:
 * ``theta_n = n^{-r}``          — exponential-family tilts, dense regime.
 
 Exponential families are tilts ``dP_theta/dP_0 = C(theta) exp(theta T(x))``
-of a base noise distribution; registered instances carry closed-form Laplace
-transforms and tilted laws, everything else falls back to quadrature plus
-bisection.
+of a base noise distribution; every family carries a closed-form tilted law,
+and the Laplace transform falls back to quadrature when no closed form is
+given.
 
 The diagnostics H_n, H~_n (curves over v) and the exponents h_n(t), h~_n(x)
 quantify detectability; they are exact formula evaluations, no simulation.
@@ -254,8 +254,7 @@ class ExponentialFamily:
         Optional closed form for omega(theta) = E_0 exp(theta T); quadrature
         on the p-scale otherwise.
     tilted:
-        Optional closed-form constructor theta -> Distribution for P_theta;
-        a numeric tilt (quadrature cdf + bisection quantile) otherwise.
+        Closed-form constructor theta -> Distribution for P_theta.
     theta_domain:
         Open interval on which omega is finite.
     tail_exponent:
@@ -273,7 +272,7 @@ class ExponentialFamily:
         *,
         name: str = "expfam",
         laplace: Callable | None = None,
-        tilted: Callable | None = None,
+        tilted: Callable,
         theta_domain: tuple[float, float] = (-math.inf, math.inf),
         tail_exponent: float | None = None,
         signal_tail: str = "lower",
@@ -322,10 +321,7 @@ class ExponentialFamily:
 
     def tilted(self, theta: float) -> Distribution:
         """The law P_theta."""
-        theta = self._check_theta(theta)
-        if self._tilted is not None:
-            return self._tilted(theta)
-        return _NumericTilt(self, theta)
+        return self._tilted(self._check_theta(theta))
 
     def var_T(self) -> float:
         """Var_{P_0}(T), by quadrature of T and T^2 on the p-scale."""
@@ -409,56 +405,6 @@ def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
         tail_exponent=1.0,
         signal_tail="upper",
     )
-
-
-class _NumericTilt(Distribution):
-    """P_theta for families without a closed-form tilt.
-
-    cdf by adaptive quadrature of the density ratio on the p-scale, quantile
-    by bisection on the base-p scale to 1e-12 absolute.  Not meant for inner
-    loops.
-    """
-
-    name = "numeric-tilt"
-
-    def __init__(self, family: ExponentialFamily, theta: float):
-        self._family = family
-        self._theta = theta
-        self._log_c = math.log(family.C(theta))
-        self.support = family.base.support
-        T, Q = family.T, family.base.quantile
-        self._g = lambda w: math.exp(self._log_c + theta * float(T(Q(w))))
-
-    def _cdf_on_p_scale(self, v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        if v >= 1.0:
-            return 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(self._g, 0.0, v, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return min(max(val, 0.0), 1.0)
-
-    def cdf(self, x):
-        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        base_p = self._family.base.cdf(xa)
-        out = np.array([self._cdf_on_p_scale(float(v)) for v in base_p])
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def quantile(self, u):
-        ua = np.atleast_1d(_check_unit_open(u))
-        vs = np.empty_like(ua)
-        for i, target in enumerate(ua):
-            lo, hi = 0.0, 1.0
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if self._cdf_on_p_scale(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            vs[i] = 0.5 * (lo + hi)
-        out = self._family.base.quantile(np.clip(vs, 1e-15, 1.0 - 1e-15))
-        return float(out[0]) if np.ndim(u) == 0 else out
 
 
 # --------------------------------------------------------------------------

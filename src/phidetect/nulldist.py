@@ -7,10 +7,11 @@ Two routes are provided:
   The limit is the same for every s, but convergence is known to be very
   slow, so these values are advisory only; every consumer in this package
   labels them as such.
-* ``mc_null_table`` / ``mc_critical`` — Monte-Carlo calibration under the
-  null (uniform p-values), the recommended route.  Tables are bit-exactly
-  reproducible from (n, s, reps, seed, rng_id) and can be cached on disk as
-  single JSON documents with atomic writes.
+* ``mc_null_tables`` / ``critical_from_sorted`` — Monte-Carlo calibration
+  under the null (uniform p-values), the recommended route.  Tables are
+  bit-exactly reproducible from (n, s, reps, seed, rng_id) and are loaded or
+  built through ``ensure_tables``, cached on disk as single JSON documents
+  with atomic writes.
 
 Table entries are on the ``n*S_n(s) - r_n`` scale; below the centering
 domain (n < 16) the raw ``n*S_n(s)`` is stored (r_n treated as 0).
@@ -42,16 +43,12 @@ __all__ = [
     "gumbel_quantile",
     "asymptotic_critical",
     "CalibrationTable",
-    "mc_null_table",
     "mc_null_tables",
-    "mc_critical",
-    "mc_pvalue",
     "critical_from_sorted",
     "pvalue_from_sorted",
     "cache_path",
     "cache_store",
     "cache_load",
-    "ensure_table",
     "ensure_tables",
 ]
 
@@ -195,11 +192,6 @@ def mc_null_tables(
     ]
 
 
-def mc_null_table(n: int, s: float, reps: int, seed: int, *, workers: int = 1) -> CalibrationTable:
-    """Monte-Carlo null calibration table for a single s."""
-    return mc_null_tables(n, [s], reps, seed, workers=workers)[0]
-
-
 def critical_from_sorted(sorted_stats: np.ndarray, alpha: float) -> float:
     """Rank-based critical value from any sorted MC null sample.
 
@@ -227,16 +219,6 @@ def pvalue_from_sorted(sorted_stats: np.ndarray, statistic: float) -> float:
     reps = len(sorted_stats)
     below = int(np.searchsorted(sorted_stats, statistic, side="left"))
     return (1 + reps - below) / (reps + 1)
-
-
-def mc_critical(table: CalibrationTable, alpha: float) -> float:
-    """Critical value at level alpha from a calibration table."""
-    return critical_from_sorted(table.sorted_stats, alpha)
-
-
-def mc_pvalue(table: CalibrationTable, statistic: float) -> float:
-    """Monte-Carlo p-value of a statistic against a calibration table."""
-    return pvalue_from_sorted(table.sorted_stats, statistic)
 
 
 # --------------------------------------------------------------------------
@@ -329,16 +311,6 @@ def cache_load(cache_dir, n: int, s: float, reps: int, seed: int) -> Calibration
         )
     except (DomainError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"invalid statistics in cache file {path}: {exc}") from exc
-    return table
-
-
-def ensure_table(cache_dir, n: int, s: float, reps: int, seed: int,
-                 *, workers: int = 1) -> CalibrationTable:
-    """Load the table from cache or build and store it."""
-    table = cache_load(cache_dir, n, s, reps, seed)
-    if table is None:
-        table = mc_null_table(n, s, reps, seed, workers=workers)
-        cache_store(table, cache_dir)
     return table
 
 

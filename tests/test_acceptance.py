@@ -26,7 +26,6 @@ from phidetect import (
     beta_sharp_from_alpha,
     boundary_comparison,
     ensure_tables,
-    mc_critical,
     mixture_family,
     power_sweep,
     replicate_rng,
@@ -37,6 +36,7 @@ from phidetect import (
     z_sup,
 )
 from phidetect.experiments import atomic_write_text
+from phidetect.nulldist import critical_from_sorted
 
 SEED_TABLES = 745031
 SEED_ORACLE = 187001
@@ -235,7 +235,7 @@ def _drive_stability(results_dir, cache_dir, workers):
 def _drive_size(results_dir, cache_dir, workers):
     n, reps, alpha = 2_000, 2_000, 0.05
     tables = ensure_tables(cache_dir, n, S_SIZE, TABLE_REPS, SEED_TABLES, workers=workers)
-    crit = {s: mc_critical(tables[s], alpha) for s in S_SIZE}
+    crit = {s: critical_from_sorted(tables[s].sorted_stats, alpha) for s in S_SIZE}
     hits = dict.fromkeys(S_SIZE, 0)
     for j in range(reps):
         sample = SortedPValueSample.from_values(uniform_open(replicate_rng(SEED_SIZE, j), n))

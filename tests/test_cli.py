@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +10,18 @@ from phidetect import (
     DomainError,
     MixtureSpec,
     diagnostic_H_sparse,
-    mc_critical,
     normal_location_mixture,
 )
 from phidetect.cli import (
     S_DEFAULT_CAVEAT,
+    _load_ini,
+    _power_config_from_ini,
     build_parser,
     default_cache_dir,
     main,
     read_data_file,
 )
-from phidetect.nulldist import cache_load
+from phidetect.nulldist import cache_load, critical_from_sorted
 
 
 @pytest.fixture
@@ -170,8 +173,8 @@ def test_cmd_calibrate_builds_and_reports(capsys, tmp_path):
     payload = json.loads(raw)
     table = cache_load(cache, 40, 2.0, 120, 7)
     assert table is not None
-    assert payload["mc_criticals"]["0.1"] == mc_critical(table, 0.1)
-    assert payload["mc_criticals"]["0.5"] == mc_critical(table, 0.5)
+    assert payload["mc_criticals"]["0.1"] == critical_from_sorted(table.sorted_stats, 0.1)
+    assert payload["mc_criticals"]["0.5"] == critical_from_sorted(table.sorted_stats, 0.5)
     assert "asymptotic_criticals" in payload  # n=40 >= 16
     first_bytes = (tmp_path / "cache" / payload["table_file"].split("/")[-1]).read_bytes()
     # rebuilding the same recipe is a cache hit: identical file bytes
@@ -258,6 +261,16 @@ def test_cmd_power_results_are_byte_identical(capsys, tmp_path):
         files.append((csv_path.read_bytes(), json_path.read_bytes()))
     assert files[0] == files[1]
     assert files[0][0] == stdout_csv.encode("utf-8")
+
+
+def test_readme_power_ini_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    ini = tmp_path / "grid.ini"
+    ini.write_text(block)
+    config, _ = _power_config_from_ini(_load_ini(ini), 1, tmp_path / "cache")
+    assert config.family == "normal"
+    assert config.regime == "sparse"
 
 
 def test_cmd_power_config_errors(capsys, tmp_path):

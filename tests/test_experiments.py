@@ -14,8 +14,7 @@ from phidetect import (
     centering_offset,
     log_likelihood_ratio,
     lr_null_table,
-    mc_null_table,
-    mc_pvalue,
+    mc_null_tables,
     normal_location_mixture,
     power_sweep,
     run_divergence_test,
@@ -31,8 +30,10 @@ from phidetect import (
     write_power_json,
 )
 import phidetect.experiments as pexp
+import phidetect.nulldist as pnull
 from phidetect._rand import replicate_rng, stable_seed, uniform_open
 from phidetect.experiments import POWER_CSV_FIELDS, WILSON_Z_99, atomic_write_text, cell_seed
+from phidetect.nulldist import pvalue_from_sorted
 
 
 def test_wilson_z_is_the_99_percent_quantile():
@@ -112,7 +113,7 @@ def test_outcome_invariants():
 
 
 def test_run_divergence_test_rejects_mismatched_table():
-    table = mc_null_table(50, 2.0, 100, 5)
+    table = mc_null_tables(50, [2.0], 100, 5)[0]
     rng = replicate_rng(3, 0)
     sample = SortedPValueSample(np.sort(uniform_open(rng, 60)))
     with pytest.raises(DomainError):
@@ -123,18 +124,18 @@ def test_run_divergence_test_rejects_mismatched_table():
 
 
 def test_run_divergence_test_consistency():
-    table = mc_null_table(50, 2.0, 300, 41)
+    table = mc_null_tables(50, [2.0], 300, 41)[0]
     for j in range(40):
         sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(42, j), 50)))
         out = run_divergence_test(sample, 2.0, table, 0.05)
         assert out.statistic == scaled_statistic(sample, 2.0)
         assert out.reject == (out.statistic > out.critical)
-        assert out.mc_pvalue == mc_pvalue(table, out.statistic)
+        assert out.mc_pvalue == pvalue_from_sorted(table.sorted_stats, out.statistic)
         assert out.reject == (out.mc_pvalue <= 0.05)
 
 
 def test_null_rejection_rate_near_level():
-    table = mc_null_table(100, 2.0, 400, 555)
+    table = mc_null_tables(100, [2.0], 400, 555)[0]
     rejects = 0
     for j in range(200):
         sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(777, j), 100)))
@@ -278,6 +279,23 @@ def test_power_sweep_records_cell_failures(tmp_path):
     assert all(r.error is not None for r in res)
     assert "DomainError" in res[0].error
     assert math.isnan(res[0].rejection_rate)
+
+
+def test_power_sweep_cells_never_read_the_cache(tmp_path, monkeypatch):
+    cfg = _smoke_config(tmp_path, betas=(0.6, 0.75), s_values=(1.0, 2.0),
+                        n_values=(32, 64), reps=5)
+    power_sweep(cfg)  # warm the tables
+    loads = []
+    real_load = pnull.cache_load
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(pnull, "cache_load", counting_load)
+    res = power_sweep(cfg)
+    assert all(r.error is None for r in res) and len(res) == 16
+    assert len(loads) == len(cfg.n_values) * len(cfg.s_values)
 
 
 def test_power_result_invariant():

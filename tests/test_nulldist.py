@@ -17,16 +17,12 @@ from phidetect import (
     cache_store,
     centering,
     centering_offset,
-    ensure_table,
     ensure_tables,
     gumbel_cdf,
     gumbel_quantile,
-    mc_critical,
-    mc_null_table,
     mc_null_tables,
-    mc_pvalue,
 )
-from phidetect.nulldist import CACHE_VERSION
+from phidetect.nulldist import CACHE_VERSION, critical_from_sorted, pvalue_from_sorted
 
 # centering sequence r_n = loglog n + (1/2) logloglog n - (1/2) log(4 pi),
 # frozen from a 40-digit evaluation of the formula
@@ -96,8 +92,8 @@ def test_asymptotic_critical():
 
 
 def test_mc_table_determinism_and_validity():
-    t1 = mc_null_table(50, 2.0, 150, 8833)
-    t2 = mc_null_table(50, 2.0, 150, 8833)
+    t1 = mc_null_tables(50, [2.0], 150, 8833)[0]
+    t2 = mc_null_tables(50, [2.0], 150, 8833)[0]
     assert t1.equals(t2)
     np.testing.assert_array_equal(t1.sorted_stats, t2.sorted_stats)
     assert np.all(np.isfinite(t1.sorted_stats))
@@ -108,28 +104,28 @@ def test_mc_table_determinism_and_validity():
 
 
 def test_mc_table_worker_count_invariance():
-    a = mc_null_table(200, 0.5, 120, 4242, workers=1)
-    b = mc_null_table(200, 0.5, 120, 4242, workers=3)
+    a = mc_null_tables(200, [0.5], 120, 4242, workers=1)[0]
+    b = mc_null_tables(200, [0.5], 120, 4242, workers=3)[0]
     np.testing.assert_array_equal(a.sorted_stats, b.sorted_stats)
 
 
 def test_mc_table_domain_checks():
     with pytest.raises(DomainError):
-        mc_null_table(1, 2.0, 150, 1)
+        mc_null_tables(1, [2.0], 150, 1)
     with pytest.raises(DomainError):
-        mc_null_table(50, 2.0, 99, 1)
+        mc_null_tables(50, [2.0], 99, 1)
 
 
 def test_mc_tables_batch_matches_singles():
     s_values = [-1.0, 0.0, 2.0]
     batch = mc_null_tables(60, s_values, 130, 777)
     for s, table in zip(s_values, batch):
-        single = mc_null_table(60, s, 130, 777)
+        single = mc_null_tables(60, [s], 130, 777)[0]
         assert table.equals(single)
 
 
 def test_small_n_tables_skip_centering():
-    t = mc_null_table(8, 2.0, 100, 5)
+    t = mc_null_tables(8, [2.0], 100, 5)[0]
     assert np.all(t.sorted_stats >= 0.0)  # raw n*S_n(s), no shift below n=16
 
 
@@ -142,40 +138,40 @@ def _synthetic_table(values) -> CalibrationTable:
 def test_mc_critical_rank_arithmetic():
     # reps=19, alpha=0.05: rank ceil(0.95*20) = 19 -> the maximum entry
     with pytest.warns(RuntimeWarning):
-        got = mc_critical(_synthetic_table(np.arange(19.0)), 0.05)
+        got = critical_from_sorted(_synthetic_table(np.arange(19.0)).sorted_stats, 0.05)
     assert got == 18.0
     # 0..99 at alpha=0.5: rank ceil(0.5*101) = 51 -> the value 50.0
-    assert mc_critical(_synthetic_table(np.arange(100.0)), 0.5) == 50.0
+    assert critical_from_sorted(_synthetic_table(np.arange(100.0)).sorted_stats, 0.5) == 50.0
 
 
 def test_mc_critical_monotone_in_alpha():
     table = _synthetic_table(np.arange(200.0))
-    crits = [mc_critical(table, a) for a in (0.5, 0.2, 0.1, 0.05)]
+    crits = [critical_from_sorted(table.sorted_stats, a) for a in (0.5, 0.2, 0.1, 0.05)]
     assert crits == sorted(crits)
 
 
 def test_mc_pvalue_rank_extremes():
     table = _synthetic_table(np.arange(100.0))
-    assert mc_pvalue(table, -5.0) == 1.0
-    assert mc_pvalue(table, 1e9) == pytest.approx(1.0 / 101.0)
+    assert pvalue_from_sorted(table.sorted_stats, -5.0) == 1.0
+    assert pvalue_from_sorted(table.sorted_stats, 1e9) == pytest.approx(1.0 / 101.0)
     # statistic equal to an entry counts that entry (>= convention)
-    assert mc_pvalue(table, 99.0) == pytest.approx(2.0 / 101.0)
+    assert pvalue_from_sorted(table.sorted_stats, 99.0) == pytest.approx(2.0 / 101.0)
 
 
 def test_reject_iff_pvalue_below_alpha():
     rng = np.random.default_rng(31)
     table = _synthetic_table(rng.normal(size=500))
     for alpha in (0.01, 0.05, 0.25):
-        crit = mc_critical(table, alpha)
+        crit = critical_from_sorted(table.sorted_stats, alpha)
         for stat in rng.normal(size=100):
-            assert (stat > crit) == (mc_pvalue(table, stat) <= alpha)
+            assert (stat > crit) == (pvalue_from_sorted(table.sorted_stats, stat) <= alpha)
 
 
 def test_quantile_against_larger_run_order_statistic_ci():
     """q95 of one run falls in the 99% order-statistic CI of a 10x run."""
-    small = mc_null_table(100, 2.0, 400, 1001)
-    big = mc_null_table(100, 2.0, 4000, 2002)
-    q95_small = mc_critical(small, 0.05)
+    small = mc_null_tables(100, [2.0], 400, 1001)[0]
+    big = mc_null_tables(100, [2.0], 4000, 2002)[0]
+    q95_small = critical_from_sorted(small.sorted_stats, 0.05)
     lo_rank = int(binom.ppf(0.005, 4000, 0.95))
     hi_rank = int(binom.ppf(0.995, 4000, 0.95)) + 1
     lo = big.sorted_stats[max(lo_rank - 1, 0)]
@@ -190,8 +186,8 @@ def test_gap_to_asymptotic_quantile_is_large():
     quantile of n*S_n(2) - r_n is several times gumbel_quantile(0.95).
     Reported as a gap, never asserted away.
     """
-    table = mc_null_table(100_000, 2.0, 150, 12345)
-    mc_q95 = mc_critical(table, 0.05)
+    table = mc_null_tables(100_000, [2.0], 150, 12345)[0]
+    mc_q95 = critical_from_sorted(table.sorted_stats, 0.05)
     asy_q95 = gumbel_quantile(0.95)
     assert mc_q95 > asy_q95 + 5.0
 
@@ -201,7 +197,7 @@ def test_gap_to_asymptotic_quantile_is_large():
 
 
 def test_cache_roundtrip(tmp_path):
-    table = mc_null_table(40, 1.0, 110, 909)
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
     path = cache_store(table, tmp_path)
     assert path.exists()
     loaded = cache_load(tmp_path, 40, 1.0, 110, 909)
@@ -213,7 +209,7 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_key_mismatch_is_absent(tmp_path):
-    table = mc_null_table(40, 1.0, 110, 909)
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
     cache_store(table, tmp_path)
     assert cache_load(tmp_path, 40, 1.0, 110, 910) is None
     assert cache_load(tmp_path, 41, 1.0, 110, 909) is None
@@ -221,7 +217,7 @@ def test_cache_key_mismatch_is_absent(tmp_path):
 
 
 def test_cache_truncated_file_is_corruption(tmp_path):
-    table = mc_null_table(40, 1.0, 110, 909)
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
     path = cache_store(table, tmp_path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
@@ -230,7 +226,7 @@ def test_cache_truncated_file_is_corruption(tmp_path):
 
 
 def test_cache_wrong_length_is_corruption(tmp_path):
-    table = mc_null_table(40, 1.0, 110, 909)
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
     path = cache_store(table, tmp_path)
     doc = json.loads(path.read_text())
     doc["sorted_stats"] = doc["sorted_stats"][:-3]
@@ -240,7 +236,7 @@ def test_cache_wrong_length_is_corruption(tmp_path):
 
 
 def test_cache_garbage_is_corruption(tmp_path):
-    table = mc_null_table(40, 1.0, 110, 909)
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
     path = cache_store(table, tmp_path)
     path.write_text("not json at all{{{")
     with pytest.raises(CacheCorruptionError):
@@ -248,7 +244,7 @@ def test_cache_garbage_is_corruption(tmp_path):
 
 
 def test_cache_embedded_version_mismatch_is_absent(tmp_path):
-    table = mc_null_table(40, 1.0, 110, 909)
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
     path = cache_store(table, tmp_path)
     doc = json.loads(path.read_text())
     doc["version"] = 999
@@ -257,10 +253,10 @@ def test_cache_embedded_version_mismatch_is_absent(tmp_path):
 
 
 def test_ensure_table_builds_then_hits(tmp_path):
-    t1 = ensure_table(tmp_path, 30, 2.0, 100, 5)
+    t1 = ensure_tables(tmp_path, 30, [2.0], 100, 5)[2.0]
     path = cache_path(tmp_path, 30, 2.0, 100, 5)
     assert path.exists()
-    t2 = ensure_table(tmp_path, 30, 2.0, 100, 5)
+    t2 = ensure_tables(tmp_path, 30, [2.0], 100, 5)[2.0]
     assert t1.equals(t2)
 
 
@@ -274,7 +270,7 @@ def test_ensure_tables_batch(tmp_path):
 
 
 def test_stats_roundtrip_exactly_through_json(tmp_path):
-    table = mc_null_table(25, 0.5, 100, 321)
+    table = mc_null_tables(25, [0.5], 100, 321)[0]
     cache_store(table, tmp_path)
     loaded = cache_load(tmp_path, 25, 0.5, 100, 321)
     np.testing.assert_array_equal(loaded.sorted_stats, table.sorted_stats)
