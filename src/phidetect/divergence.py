@@ -25,12 +25,20 @@ jump ``d = u - v``,
 
 which stays fully accurate as u -> v (relative error O(eps/|d|) instead of
 O(eps/d**2) for the textbook form) and never overflows for moderate s.
+
+Workspace: the candidates live in reused length-2(n-1) buffers, no concatenation:
+the left half holds the left endpoints (i/n, X_{i:n}), the right half the right
+endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and ``1-uu`` are built once per
+n; a sample is copied into the halves of ``vv``, then ``1-vv``, L1, L2 and K_s
+are written in place.  Each thread keeps one workspace, for its last n (numpy
+releases the GIL, so a shared one would race); no view of it outlives a call.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,30 +172,33 @@ def phi(s: float | PhiIndex, x) -> float | np.ndarray:
     return out
 
 
-def _k_from_logs(idx: PhiIndex, u, v, cv, L1, L2) -> np.ndarray:
-    """K_s(u, v) from the shared logs L1 = log(u/v), L2 = log((1-u)/(1-v)).
+def _fill_logs(u, v, cv, L1, L2) -> None:
+    """L1 = log1p(d/v), L2 = log1p(-d/cv) with d = u - v, written in place."""
+    np.negative(np.subtract(u, v, out=L1), out=L2)  # not v - u: keeps -0.0 at u == v
+    np.log1p(np.divide(L2, cv, out=L2), out=L2)
+    np.log1p(np.divide(L1, v, out=L1), out=L1)
 
-    ``cv`` is 1 - v.  This is the only place the s-regime switch for K_s is
-    written; every K_s evaluation in the package goes through it.  Callers
-    that can overflow ``expm1`` (p-values near 0) silence it themselves, so
-    the table builder's inner loop pays for no ``errstate``.
+
+def _k_from_logs(idx: PhiIndex, u, cu, v, cv, L1, L2, out, tmp) -> np.ndarray:
+    """K_s(u, v) into ``out`` from the logs L1 = log(u/v), L2 = log((1-u)/(1-v)).
+
+    ``cu``, ``cv`` are 1 - u, 1 - v.  This is the only place the s-regime switch
+    for K_s is written; every K_s evaluation in the package goes through it.
+    Callers that can overflow ``expm1`` (p-values near 0) silence it themselves,
+    so the table builder's inner loop pays for no ``errstate``.
     """
     if idx.regime is Regime.LIMIT_S0:
-        return -(v * L1 + cv * L2)
+        np.add(np.multiply(v, L1, out=out), np.multiply(cv, L2, out=tmp), out=out)
+        return np.negative(out, out=out)
     if idx.regime is Regime.LIMIT_S1:
-        return u * L1 + (1.0 - u) * L2
+        return np.add(np.multiply(u, L1, out=out), np.multiply(cu, L2, out=tmp), out=out)
     sv = idx.s
-    return -(v * np.expm1(sv * L1) + cv * np.expm1(sv * L2)) / (sv * (1.0 - sv))
-
-
-def _kappa_arrays(idx: PhiIndex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Core K_s evaluation on validated arrays (broadcasting allowed)."""
-    d = u - v
-    cv = 1.0 - v
-    L1 = np.log1p(d / v)
-    L2 = np.log1p(-d / cv)
-    with np.errstate(over="ignore"):
-        return _k_from_logs(idx, u, v, cv, L1, L2)
+    np.expm1(np.multiply(L1, sv, out=out), out=out)
+    out *= v
+    np.expm1(np.multiply(L2, sv, out=tmp), out=tmp)
+    tmp *= cv
+    out += tmp
+    return np.divide(out, -(sv * (1.0 - sv)), out=out)
 
 
 def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
@@ -202,29 +213,31 @@ def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
         raise DomainError("kappa requires 0 < u < 1")
     if np.any(~((va > 0.0) & (va < 1.0))):
         raise DomainError("kappa requires 0 < v < 1")
-    out = _kappa_arrays(idx, ua, va)
+    L1, L2, out, tmp = (np.empty(np.broadcast_shapes(ua.shape, va.shape)) for _ in range(4))
+    cv = 1.0 - va
+    _fill_logs(ua, va, cv, L1, L2)
+    with np.errstate(over="ignore"):
+        _k_from_logs(idx, ua, 1.0 - ua, va, cv, L1, L2, out, tmp)
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return float(out)
     return out
 
 
-def _sup_candidates(values: np.ndarray):
-    """Endpoint candidate pairs (u, v) shared by all s.
+_thread_slot = threading.local()
 
-    Returns (uu, vv, cv, L1, L2) arrays of length 2(n-1): the left-endpoint
-    candidates (i/n, X_{i:n}) followed by the right-endpoint candidates
-    (i/n, X_{i+1:n}), with cv = 1 - vv and the logs that ``_k_from_logs``
-    consumes.
-    """
+
+def _workspace(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """This thread's (uu, 1-uu, vv, 1-vv, L1, L2, out, tmp), loaded with ``values``."""
     n = values.size
-    u = np.arange(1, n, dtype=np.float64) / n
-    uu = np.concatenate([u, u])
-    vv = np.concatenate([values[:-1], values[1:]])
-    cv = 1.0 - vv
-    d = uu - vv
-    L1 = np.log1p(d / vv)
-    L2 = np.log1p(-d / cv)
-    return uu, vv, cv, L1, L2
+    ws = getattr(_thread_slot, "ws", None)
+    if ws is None or ws[0].size != 2 * n - 2:
+        uu = np.tile(np.arange(1, n, dtype=np.float64) / n, 2)
+        ws = _thread_slot.ws = (uu, 1.0 - uu, *(np.empty(2 * n - 2) for _ in range(6)))
+    uu, _, vv, cv, L1, L2, _, _ = ws
+    vv[: n - 1], vv[n - 1 :] = values[:-1], values[1:]
+    np.subtract(1.0, vv, out=cv)
+    _fill_logs(uu, vv, cv, L1, L2)
+    return ws
 
 
 def _sup_values_raw(values: np.ndarray, s_list) -> np.ndarray:
@@ -233,10 +246,10 @@ def _sup_values_raw(values: np.ndarray, s_list) -> np.ndarray:
     The candidate logs are computed once and shared across all s; this is the
     fast path the Monte-Carlo table builder runs millions of times.
     """
-    cand = _sup_candidates(values)
+    ws = _workspace(values)
     out = np.empty(len(s_list), dtype=np.float64)
     for j, s in enumerate(s_list):
-        out[j] = _k_from_logs(_as_index(s), *cand).max()
+        out[j] = _k_from_logs(_as_index(s), *ws).max()
     return out
 
 
@@ -252,9 +265,8 @@ def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> Divergence
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     idx = _as_index(s)
-    cand = _sup_candidates(sample.values)
     with np.errstate(over="ignore"):
-        k = _k_from_logs(idx, *cand)
+        k = _k_from_logs(idx, *_workspace(sample.values))
     m = sample.n - 1
     kl, kr = k[:m], k[m:]
     il = int(np.argmax(kl))
@@ -263,8 +275,8 @@ def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> Divergence
         value, rank, side = kl[il], il + 1, EndpointSide.LEFT
     else:
         value, rank, side = kr[ir], ir + 1, EndpointSide.RIGHT
-    # K_s >= 0 mathematically; guard against -0.0 / tiny negative rounding.
-    value = max(float(value), 0.0)
+    # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
+    value = max(float(value), 0.0) + 0.0
     return DivergenceStatistic(index=idx, value=value, argmax_index=rank, argmax_side=side)
 
 

@@ -145,8 +145,8 @@ def _null_stats_block(n: int, s_list: list[float], seed: int, start: int, stop: 
     rn = centering_offset(n)
     out = np.empty((len(s_list), stop - start), dtype=np.float64)
     for k, rep in enumerate(range(start, stop)):
-        rng = replicate_rng(seed, rep)
-        u = np.sort(uniform_open(rng, n))
+        u = uniform_open(replicate_rng(seed, rep), n)
+        u.sort()
         out[:, k] = n * _sup_values_raw(u, s_list) - rn
     return out
 

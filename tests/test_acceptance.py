@@ -369,7 +369,7 @@ _DRIVERS = {
 class _Runner:
     """Memoizing driver runner bound to one results/cache directory pair."""
 
-    def __init__(self, results_dir, cache_dir, workers):
+    def __init__(self, results_dir, cache_dir, workers, log):
         self.results_dir = results_dir
         self.cache_dir = cache_dir
         self.workers = workers
@@ -377,7 +377,12 @@ class _Runner:
         self.elapsed = {}
         results_dir.mkdir(parents=True, exist_ok=True)
         cache_dir.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
         self._warm_tables()
+        line = (f"[warm-up] workers={workers}: null tables for n=2e3, 1e3, 1e4, 1e5 "
+                f"({TABLE_REPS} reps) built in {time.perf_counter() - t0:.0f}s")
+        log.append(line)
+        print(line)
 
     def _warm_tables(self):
         # one shared-draw build per n covering every s the drivers need; each
@@ -406,8 +411,9 @@ def acceptance_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def run_a(acceptance_dir):
-    return _Runner(acceptance_dir / "run-a", acceptance_dir / "cache-a", workers=1)
+def run_a(acceptance_dir, criterion_log):
+    return _Runner(acceptance_dir / "run-a", acceptance_dir / "cache-a", workers=1,
+                   log=criterion_log)
 
 
 def _get_or_fail(run, num, log):
@@ -511,7 +517,8 @@ def test_criterion_9_determinism_across_workers(run_a, acceptance_dir, criterion
     for num in _DRIVERS:
         _get_or_fail(run_a, num, criterion_log)
     t0 = time.perf_counter()
-    run_b = _Runner(acceptance_dir / "run-b", acceptance_dir / "cache-b", workers=2)
+    run_b = _Runner(acceptance_dir / "run-b", acceptance_dir / "cache-b", workers=2,
+                    log=criterion_log)
     for num in _DRIVERS:
         _get_or_fail(run_b, num, criterion_log)
 

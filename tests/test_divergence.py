@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from phidetect import (
     kappa,
     phi,
     replicate_rng,
+    scaled_statistic,
+    scaled_statistics,
     sup_statistic,
     sup_statistic_values,
     uniform_open,
@@ -266,6 +271,85 @@ def test_sample_allows_ties():
     sample = SortedPValueSample(np.array([0.3, 0.3, 0.8]))
     for s in S_GRID:
         assert np.isfinite(sup_statistic(sample, s).value)
+
+
+FIVE_S = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def test_tied_sample_statistic_is_positive_zero():
+    # u == v at both candidates, where K_s evaluates to a signed zero; every
+    # path must report +0.0 (s = 0 and s = 0.5 produce -0.0 in the kernel)
+    sample = SortedPValueSample(np.array([0.5, 0.5]))
+    for s in FIVE_S:
+        for v in (sup_statistic(sample, s).value, scaled_statistic(sample, s),
+                  sup_statistic_values(sample, [s])[0], scaled_statistics(sample, [s])[0]):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, (s, v)
+
+
+def _kernel_bytes(n: int, rep: int) -> bytes:
+    """sup_statistic, sup_statistic_values and kappa outputs at one n, as bytes."""
+    sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(99, rep), n)))
+    parts = [sup_statistic_values(sample, FIVE_S).tobytes()]
+    for s in FIVE_S:
+        st = sup_statistic(sample, s)
+        parts.append(f"{st.value!r},{st.argmax_index},{st.argmax_side.value}".encode())
+    parts.append(kappa(2.0, sample.values[:, None], sample.values[None, :5]).tobytes())
+    return b"|".join(parts)
+
+
+def _in_fresh_thread(fn, *args):
+    # a new thread starts with an empty workspace slot
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn(*args)))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    return box[0]
+
+
+def test_workspace_reuse_across_n_and_threads():
+    calls = [(1000, 0), (2, 1), (1000, 2), (50, 3), (2, 4), (1000, 0)]
+    fresh = {c: _in_fresh_thread(_kernel_bytes, *c) for c in calls}
+    for c in calls:  # interleaved n in one thread reuse and re-key one slot
+        assert _kernel_bytes(*c) == fresh[c], c
+
+    # more threads than a small box has CPUs: two share n=1000, two have their own n
+    per_thread = [[(n, rep) for rep in range(r0, r0 + 6)]
+                  for n, r0 in ((1000, 0), (1000, 6), (50, 0), (3, 0))]
+    serial = {c: _kernel_bytes(*c) for cs in per_thread for c in cs}
+    got, lock = {}, threading.Lock()
+
+    def work(cs):
+        for c in cs:
+            b = _kernel_bytes(*c)
+            with lock:
+                got[c] = b
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(cs,)) for cs in per_thread]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
+
+
+def test_warm_kernel_allocates_less_than_one_candidate_array():
+    n = 100_000
+    sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(5, 0), n)))
+    sup_statistic_values(sample, FIVE_S)  # warm this thread's workspace
+    tracemalloc.start()
+    try:
+        sup_statistic_values(sample, FIVE_S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n - 1) * 8, peak
 
 
 def test_multi_s_matches_single(rng=np.random.default_rng(515)):
