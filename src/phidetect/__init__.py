@@ -53,14 +53,10 @@ from .models import (
     h_exponent,
     h_exponent_normal,
     location_gumbel_family,
-    location_gumbel_mixture,
     mixture_family,
-    normal_location_mixture,
     sample_mixture,
     scale_exponential_family,
-    scale_exponential_mixture,
     scale_frechet_family,
-    scale_frechet_mixture,
     signal_cdf_transformed,
     to_pvalues,
 )

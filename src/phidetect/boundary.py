@@ -6,7 +6,8 @@ tail-regularity exponent p.  The numeric routes recover beta^# from an
 exponent function (gamma on the n^{-t}-quantile scale, or alpha on the
 sqrt(2 log n) scale) by maximising the corresponding variational expression
 on a grid — a grid approximation of an essential supremum, exact in the
-limit for the piecewise-continuous exponents that occur here.
+limit for the piecewise-continuous exponents that occur here.  Exponent
+functions are called once on the whole grid, so they must be vectorised.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _grid_eval(fn: Callable, lo: float, hi: float, grid_points: int, what: str):
     t = np.linspace(lo, hi, int(grid_points))
     vals = np.asarray(fn(t), dtype=np.float64)
     if vals.shape != t.shape:
-        vals = np.array([float(fn(float(ti))) for ti in t])
+        raise DomainError(f"{what}: function must map the t grid to an array of its shape")
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"{what}: function returned non-finite values on the grid")
     return t, vals

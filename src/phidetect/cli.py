@@ -49,12 +49,12 @@ from .models import (
     to_pvalues,
 )
 from .nulldist import (
-    asymptotic_critical,
+    CENTERING_MIN_N,
     atomic_write_text,
     cache_path,
-    centering_offset,
     critical_from_sorted,
     ensure_tables,
+    gumbel_quantile,
 )
 
 S_DEFAULT_CAVEAT = (
@@ -117,6 +117,12 @@ def _kv(key: str, value) -> str:
 # test
 
 
+def _advisory_critical(n: int, alpha: float) -> float | None:
+    """Limit-law critical value q(1 - alpha) on the n*S_n(s) - r_n scale; None
+    below the centering domain or where 1 - alpha rounds to 1."""
+    return gumbel_quantile(1.0 - alpha) if n >= CENTERING_MIN_N and 1.0 - alpha < 1.0 else None
+
+
 def cmd_test(args) -> int:
     data = read_data_file(args.data_file)
     factory = _NOISE_MODELS.get(args.model)
@@ -131,10 +137,7 @@ def cmd_test(args) -> int:
     table = ensure_tables(default_cache_dir(args.cache_dir), n, [s], args.reps,
                           args.seed, workers=args.workers)[float(s)]
     outcome = run_divergence_test(sample, s, table, args.alpha)
-    try:
-        asym = n * asymptotic_critical(n, args.alpha) - centering_offset(n)
-    except DomainError:
-        asym = None
+    asym = _advisory_critical(n, args.alpha)
     verdict = "reject" if outcome.reject else "retain"
     payload = {
         "n": n,
@@ -167,7 +170,7 @@ def cmd_test(args) -> int:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
+    parts = _split_values(text)
     if not parts:
         raise DomainError("empty numeric list")
     return [float(p) for p in parts]
@@ -199,12 +202,10 @@ def cmd_calibrate(args) -> int:
     ]
     for a in alphas:
         lines.append(_kv(f"mc_critical[{a!r}]", criticals[repr(float(a))]))
-        try:
-            asym = table.n * asymptotic_critical(table.n, a) - centering_offset(table.n)
+        asym = _advisory_critical(table.n, a)
+        if asym is not None:
             lines.append(_kv(f"asymptotic[{a!r}]", f"{asym!r}  [{ADVISORY_LABEL}]"))
             payload.setdefault("asymptotic_criticals", {})[repr(float(a))] = asym
-        except DomainError:
-            pass
     _emit(args, lines, payload)
     return 0
 

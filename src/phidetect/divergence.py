@@ -111,10 +111,9 @@ class SortedPValueSample:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise DomainError("sample must be a 1-d array with at least one value")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("sample contains non-finite values")
-        if v[0] <= 0.0 or v[-1] >= 1.0 or np.any(np.diff(v) < 0.0):
-            raise DomainError("sample values must be sorted and strictly inside (0, 1)")
+        # NaN and +-inf fail these positive comparisons, so one pass checks all
+        if not (v[0] > 0.0 and v[-1] < 1.0 and np.all(v[1:] >= v[:-1])):
+            raise DomainError("sample values must be finite, sorted and strictly inside (0, 1)")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

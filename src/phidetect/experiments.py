@@ -370,10 +370,10 @@ def boundary_comparison(
     for j in range(reps):
         x0 = spec.noise.sample(spec.n, replicate_rng(null_seed, j))
         rej_null += scaled_statistics(to_pvalues(x0, spec.noise), s_list) > crits
-        lr_rej_null += log_likelihood_ratio(x0, spec) >= 0.0
+        lr_rej_null += run_lr_test(x0, spec).reject
         x1, _ = sample_mixture(spec, replicate_rng(alt_seed, j))
         rej_alt += scaled_statistics(to_pvalues(x1, spec.noise), s_list) > crits
-        lr_rej_alt += log_likelihood_ratio(x1, spec) >= 0.0
+        lr_rej_alt += run_lr_test(x1, spec).reject
     error_sums = tuple((rej_null + (reps - rej_alt)) / reps)
     lr_error_sum = (lr_rej_null + (reps - lr_rej_alt)) / reps
     return BoundaryComparison(

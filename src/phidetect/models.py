@@ -13,6 +13,12 @@ of a base noise distribution; every family carries a closed-form tilted law,
 and the Laplace transform falls back to quadrature when no closed form is
 given.
 
+The named mixture families live in one registry, ``_FAMILIES``: each CLI
+name maps to its regimes (default first), the parameters it takes and a
+builder.  ``mixture_family`` is the one constructor for a registered family
+and rejects any other regime or parameter; ``expfam_mixture`` builds a
+mixture from any ``ExponentialFamily``.
+
 The diagnostics H_n, H~_n (curves over v) and the exponents h_n(t), h~_n(x)
 quantify detectability; they are exact formula evaluations, no simulation.
 """
@@ -47,11 +53,6 @@ __all__ = [
     "scale_frechet_family",
     "MixtureFamily",
     "MixtureSpec",
-    "normal_location_mixture",
-    "heteroscedastic_normal_mixture",
-    "scale_exponential_mixture",
-    "location_gumbel_mixture",
-    "scale_frechet_mixture",
     "expfam_mixture",
     "mixture_family",
     "MIXTURE_FAMILY_NAMES",
@@ -426,7 +427,7 @@ class MixtureFamily:
     noise: Distribution
     theta_rule: _ThetaRule
     signal_of: Callable[[float], Distribution]
-    log_ratio_of: Callable[[float], Callable] | None = None
+    log_ratio_of: Callable[[float], Callable]
     boundary_kind: str | None = None  # key into boundary.classify, when known
     tail_exponent: float | None = None
 
@@ -493,13 +494,11 @@ class MixtureSpec:
         return self.family.signal_of(self.theta)
 
     def log_ratio(self) -> Callable:
-        """x -> log(d mu_n / d P_0)(x), if the family exposes one."""
-        if self.family.log_ratio_of is None:
-            raise DomainError(f"family {self.family.name!r} has no density ratio")
+        """x -> log(d mu_n / d P_0)(x)."""
         return self.family.log_ratio_of(self.theta)
 
 
-def normal_location_mixture() -> MixtureFamily:
+def _normal_location(regime: str) -> MixtureFamily:
     """N(0,1) noise vs N(theta_n, 1) signal, theta_n = sqrt(2 r log n)."""
 
     def ratio_of(theta: float) -> Callable:
@@ -510,7 +509,7 @@ def normal_location_mixture() -> MixtureFamily:
 
     return MixtureFamily(
         name="normal",
-        regime="sparse",
+        regime=regime,
         noise=Normal(),
         theta_rule=_ThetaRule.NORMAL_LOCATION,
         signal_of=lambda th: Normal(mu=th),
@@ -519,7 +518,7 @@ def normal_location_mixture() -> MixtureFamily:
     )
 
 
-def heteroscedastic_normal_mixture(sigma0: float) -> MixtureFamily:
+def _heteroscedastic_normal(regime: str, sigma0: float = 1.0) -> MixtureFamily:
     """N(0,1) noise vs N(theta_n, sigma0^2) signal; no closed boundary wired."""
     if not sigma0 > 0.0:
         raise DomainError("sigma0 must be positive")
@@ -533,12 +532,11 @@ def heteroscedastic_normal_mixture(sigma0: float) -> MixtureFamily:
 
     return MixtureFamily(
         name=f"heteroscedastic-normal(sigma0={sigma0:g})",
-        regime="sparse",
+        regime=regime,
         noise=Normal(),
         theta_rule=_ThetaRule.NORMAL_LOCATION,
         signal_of=lambda th: Normal(mu=th, sigma=sigma0),
         log_ratio_of=ratio_of,
-        boundary_kind=None,
     )
 
 
@@ -560,41 +558,43 @@ def expfam_mixture(family: ExponentialFamily, regime: str, name: str | None = No
     )
 
 
-def scale_exponential_mixture(regime: str = "dense") -> MixtureFamily:
-    return expfam_mixture(scale_exponential_family(), regime, name="scale-exponential")
+def _tilt(factory: Callable[..., ExponentialFamily], name: str) -> Callable[..., MixtureFamily]:
+    """Registry builder for the mixture of an exponential-family tilt."""
+    return lambda regime, **params: expfam_mixture(factory(**params), regime, name=name)
 
 
-def location_gumbel_mixture(regime: str = "sparse") -> MixtureFamily:
-    return expfam_mixture(location_gumbel_family(), regime, name="location-gumbel")
+#: CLI name -> (regimes, default first; parameter names; builder(regime, **params)).
+_FAMILIES = {
+    "normal": (("sparse",), (), _normal_location),
+    "heteroscedastic-normal": (("sparse",), ("sigma0",), _heteroscedastic_normal),
+    "scale-exponential": (("dense", "sparse"), (),
+                          _tilt(scale_exponential_family, "scale-exponential")),
+    "location-gumbel": (("sparse", "dense"), (), _tilt(location_gumbel_family, "location-gumbel")),
+    "scale-frechet": (("sparse", "dense"), ("shape",),
+                      _tilt(scale_frechet_family, "scale-frechet")),
+}
 
-
-def scale_frechet_mixture(shape: float = 1.0, regime: str = "sparse") -> MixtureFamily:
-    return expfam_mixture(scale_frechet_family(shape), regime, name="scale-frechet")
+MIXTURE_FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def mixture_family(name: str, *, regime: str | None = None, **params) -> MixtureFamily:
-    """Look up a registered mixture family by CLI-facing name."""
+    """Build a registered family; ``regime`` defaults to the family's first one.
+
+    A regime or a parameter the family does not take is a ``DomainError``.
+    """
     key = name.strip().lower()
-    if key == "normal":
-        return normal_location_mixture()
-    if key == "heteroscedastic-normal":
-        return heteroscedastic_normal_mixture(float(params.get("sigma0", 1.0)))
-    if key == "scale-exponential":
-        return scale_exponential_mixture(regime or "dense")
-    if key == "location-gumbel":
-        return location_gumbel_mixture(regime or "sparse")
-    if key == "scale-frechet":
-        return scale_frechet_mixture(float(params.get("shape", 1.0)), regime or "sparse")
-    raise DomainError(f"unknown mixture family {name!r}; known: {', '.join(MIXTURE_FAMILY_NAMES)}")
-
-
-MIXTURE_FAMILY_NAMES = (
-    "normal",
-    "heteroscedastic-normal",
-    "scale-exponential",
-    "location-gumbel",
-    "scale-frechet",
-)
+    if key not in _FAMILIES:
+        raise DomainError(f"unknown mixture family {name!r}; known: {', '.join(_FAMILIES)}")
+    regimes, takes, build = _FAMILIES[key]
+    regime = regimes[0] if regime is None else regime
+    if regime not in regimes:
+        raise DomainError(f"mixture family {key!r} has no regime {regime!r}; "
+                          f"it has: {', '.join(regimes)}")
+    unknown = ", ".join(sorted(set(params) - set(takes)))
+    if unknown:
+        raise DomainError(f"mixture family {key!r} takes no parameter {unknown}; "
+                          f"it takes: {', '.join(takes) or 'none'}")
+    return build(regime, **{k: float(v) for k, v in params.items()})
 
 
 def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:

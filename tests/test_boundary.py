@@ -12,14 +12,12 @@ from phidetect import (
     beta_sharp_from_gamma,
     classify,
     h_exponent,
-    normal_location_mixture,
+    mixture_family,
     rho_dense,
     rho_normal_sparse,
-    scale_exponential_mixture,
     superlevel_measure,
 )
 from phidetect.boundary import BOUNDARY_KINDS, default_t_domain
-from phidetect.models import heteroscedastic_normal_mixture
 
 
 def test_sparse_normal_boundary_values():
@@ -99,6 +97,8 @@ def test_gamma_route_validation():
         beta_sharp_from_gamma(lambda t: np.where(t > 5.0, np.inf, 0.0), 0.0)
     with pytest.raises(DomainError):
         beta_sharp_from_gamma(lambda t: np.zeros_like(t), 3.0, 1.0)
+    with pytest.raises(DomainError):
+        beta_sharp_from_gamma(lambda t: 0.0, 0.0)  # not vectorised over the grid
 
 
 def test_alpha_route_normal_exponent():
@@ -147,7 +147,7 @@ def test_threshold_from_measured_exponents():
     the step over a 1/log n layer; the gap closes like 1/log n, so a 0.02
     band needs a very large evaluation scale.
     """
-    fam = scale_exponential_mixture("sparse")
+    fam = mixture_family("scale-exponential", regime="sparse")
     for r in (0.3, 0.7, 1.5):
         target = beta_sharp_expfam(r, 1.0)
         deficits = []
@@ -195,12 +195,12 @@ def test_classify_sparse_expfam():
 
 
 def test_classify_accepts_family_objects():
-    out = classify(normal_location_mixture(), 0.6, 0.5)
+    out = classify(mixture_family("normal"), 0.6, 0.5)
     assert out.verdict is Verdict.DETECTABLE
     # tilted families carry their own tail exponent
-    out = classify(scale_exponential_mixture("sparse"), 0.7, 0.5)
+    out = classify(mixture_family("scale-exponential", regime="sparse"), 0.7, 0.5)
     assert out.threshold_value == 0.75
-    out = classify(scale_exponential_mixture("dense"), 0.25, 0.2)
+    out = classify(mixture_family("scale-exponential", regime="dense"), 0.25, 0.2)
     assert out.verdict is Verdict.DETECTABLE
 
 
@@ -208,7 +208,7 @@ def test_classify_unknown_family():
     with pytest.raises(DomainError):
         classify("cauchy", 0.6, 0.5)
     with pytest.raises(DomainError):
-        classify(heteroscedastic_normal_mixture(2.0), 0.6, 0.5)
+        classify(mixture_family("heteroscedastic-normal", sigma0=2.0), 0.6, 0.5)
     assert set(BOUNDARY_KINDS) == {"normal-sparse", "expfam-sparse", "expfam-dense"}
 
 

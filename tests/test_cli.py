@@ -10,7 +10,7 @@ from phidetect import (
     DomainError,
     MixtureSpec,
     diagnostic_H_sparse,
-    normal_location_mixture,
+    mixture_family,
 )
 from phidetect.cli import (
     S_DEFAULT_CAVEAT,
@@ -21,7 +21,7 @@ from phidetect.cli import (
     main,
     read_data_file,
 )
-from phidetect.nulldist import cache_load, critical_from_sorted
+from phidetect.nulldist import cache_load, critical_from_sorted, gumbel_quantile
 
 
 @pytest.fixture
@@ -193,6 +193,14 @@ def test_cmd_calibrate_env_cache(capsys, tmp_path, monkeypatch):
     assert json.loads(raw)["table_file"].startswith(str(tmp_path / "envcache"))
 
 
+def test_cmd_calibrate_advisory_is_the_limit_quantile(capsys, tmp_path):
+    code, raw, _ = _run(capsys, ["calibrate", "--n", "40", "--reps", "500", "--alpha-list",
+                                 "0.01,0.5", "--cache-dir", tmp_path, "--json"])
+    assert code == 0
+    asym = json.loads(raw)["asymptotic_criticals"]
+    assert asym == {"0.01": gumbel_quantile(0.99), "0.5": gumbel_quantile(0.5)}
+
+
 # --------------------------------------------------------------------------
 # power subcommand
 
@@ -356,7 +364,7 @@ def test_cmd_diagnose_csv(capsys, tmp_path):
     assert lines[0] == "v,value"
     assert len(lines) == 6
     v, val = (float(tok) for tok in lines[1].split(","))
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 1000)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 1000)
     want = diagnostic_H_sparse(spec, [v]).values[0]
     assert val == want  # repr round-trip is exact
     # no numpy scalar reprs leak into the file
@@ -391,6 +399,15 @@ def test_cmd_diagnose_errors(capsys, tmp_path):
     nomodel.write_text("[grid]\n")
     code, _, err = _run(capsys, ["diagnose", "--model-config", nomodel])
     assert code == 2 and "[model]" in err
+
+
+def test_cmd_diagnose_rejects_a_regime_the_family_lacks(capsys, tmp_path):
+    ini = tmp_path / "model.ini"
+    ini.write_text("[model]\nfamily = normal\nregime = dense\nshape = 3\n"
+                   "beta = 0.6\nr = 0.4\nn = 1000\n")
+    code, out, err = _run(capsys, ["diagnose", "--model-config", ini])
+    assert code == 2 and out == ""
+    assert "regime 'dense'" in err
 
 
 def test_parser_metadata():

@@ -256,8 +256,9 @@ def test_sample_validation():
         SortedPValueSample(np.array([0.0, 0.5]))
     with pytest.raises(DomainError):
         SortedPValueSample(np.array([0.5, 1.0]))
-    with pytest.raises(DomainError):
-        SortedPValueSample(np.array([0.2, np.nan]))
+    for bad in ([0.2, np.nan], [0.2, np.nan, 0.7], [-np.inf, 0.5], [0.5, np.inf]):
+        with pytest.raises(DomainError):
+            SortedPValueSample(np.array(bad))
     with pytest.raises(DomainError):
         SortedPValueSample(np.empty(0))
     sample = SortedPValueSample.from_values([0.7, 0.2, 0.4])

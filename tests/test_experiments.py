@@ -15,12 +15,11 @@ from phidetect import (
     log_likelihood_ratio,
     lr_null_table,
     mc_null_tables,
-    normal_location_mixture,
+    mixture_family,
     power_sweep,
     run_divergence_test,
     run_lr_test,
     sample_mixture,
-    scale_exponential_mixture,
     scaled_statistic,
     scaled_statistics,
     sup_statistic,
@@ -148,7 +147,7 @@ def test_null_rejection_rate_near_level():
 
 
 def test_llr_degenerate_weights():
-    fam = normal_location_mixture()
+    fam = mixture_family("normal")
     spec0 = MixtureSpec(fam, 0.6, 0.4, 100, epsilon_override=0.0)
     assert log_likelihood_ratio(np.zeros(100), spec0) == 0.0
     spec1 = MixtureSpec(fam, 0.6, 0.4, 5, epsilon_override=1.0)
@@ -158,13 +157,13 @@ def test_llr_degenerate_weights():
 
 
 def test_llr_zero_when_signal_equals_noise():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.0, 100)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.0, 100)
     x = replicate_rng(8, 0).normal(size=100)
     assert log_likelihood_ratio(x, spec) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_llr_matches_naive_formula():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.3, 500)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.3, 500)
     x = replicate_rng(9, 0).normal(size=500)
     eps = spec.epsilon
     naive = float(np.sum(np.log((1.0 - eps) + eps * np.exp(spec.log_ratio()(x)))))
@@ -172,7 +171,7 @@ def test_llr_matches_naive_formula():
 
 
 def test_run_lr_test_zero_threshold():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.3, 50)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.3, 50)
     x = replicate_rng(10, 0).normal(size=50)
     out = run_lr_test(x, spec)
     assert out.reject == (out.llr >= 0.0)
@@ -182,7 +181,7 @@ def test_run_lr_test_zero_threshold():
 
 
 def test_lr_null_table_and_calibrated_test():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.3, 80)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.3, 80)
     table = lr_null_table(spec, 150, 21)
     assert np.all(np.diff(table) >= 0.0)
     np.testing.assert_array_equal(table, lr_null_table(spec, 150, 21))
@@ -309,14 +308,14 @@ def test_power_result_invariant():
 
 
 def test_boundary_comparison_requires_boundary(tmp_path):
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.5, 100)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.5, 100)
     with pytest.raises(DomainError):
         boundary_comparison(spec, (2.0,), 0.05, 50, 1, cache_dir=tmp_path,
                             table_reps=100)
 
 
 def test_boundary_comparison_dense_smoke(tmp_path):
-    spec = MixtureSpec(scale_exponential_mixture("dense"), 0.25, 0.25, 100)
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.25, 0.25, 100)
     bc = boundary_comparison(spec, (0.5, 2.0), 0.1, 60, 99,
                              cache_dir=tmp_path, table_reps=300)
     assert bc.s_values == (0.5, 2.0)

@@ -23,15 +23,13 @@ from phidetect import (
     h_exponent_normal,
     location_gumbel_family,
     mixture_family,
-    normal_location_mixture,
     sample_mixture,
     scale_exponential_family,
-    scale_exponential_mixture,
     scale_frechet_family,
     signal_cdf_transformed,
     to_pvalues,
 )
-from phidetect.models import Distribution, MIXTURE_FAMILY_NAMES, heteroscedastic_normal_mixture
+from phidetect.models import Distribution, MIXTURE_FAMILY_NAMES
 
 DISTS = [
     Uniform(),
@@ -207,27 +205,29 @@ def test_fitted_tail_exponent_near_one(fam):
 
 
 def test_theta_rules():
-    assert MixtureSpec(scale_exponential_mixture("sparse"), 0.75, 0.5, 100).theta == 10.0
-    assert MixtureSpec(scale_exponential_mixture("dense"), 0.25, 0.5, 100).theta == pytest.approx(0.1, rel=1e-15)
-    got = MixtureSpec(normal_location_mixture(), 0.6, 0.5, 100).theta
+    sparse = mixture_family("scale-exponential", regime="sparse")
+    dense = mixture_family("scale-exponential", regime="dense")
+    assert MixtureSpec(sparse, 0.75, 0.5, 100).theta == 10.0
+    assert MixtureSpec(dense, 0.25, 0.5, 100).theta == pytest.approx(0.1, rel=1e-15)
+    got = MixtureSpec(mixture_family("normal"), 0.6, 0.5, 100).theta
     assert got == pytest.approx(math.sqrt(math.log(100.0)), rel=1e-15)
 
 
 def test_epsilon_schedule():
-    spec = MixtureSpec(normal_location_mixture(), 0.75, 0.3, 10_000)
+    spec = MixtureSpec(mixture_family("normal"), 0.75, 0.3, 10_000)
     assert spec.epsilon == pytest.approx(1e-3, rel=1e-15)
-    assert MixtureSpec(normal_location_mixture(), 0.75, 0.3, 10_000,
+    assert MixtureSpec(mixture_family("normal"), 0.75, 0.3, 10_000,
                        epsilon_override=0.2).epsilon == 0.2
 
 
 def test_mixture_spec_validation():
-    fam = normal_location_mixture()
+    fam = mixture_family("normal")
     with pytest.raises(DomainError):
         MixtureSpec(fam, 0.5, 0.3, 100)  # beta=1/2 is in neither regime
     with pytest.raises(DomainError):
         MixtureSpec(fam, 0.3, 0.3, 100)  # dense beta on a sparse family
     with pytest.raises(DomainError):
-        MixtureSpec(scale_exponential_mixture("dense"), 0.6, 0.3, 100)
+        MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.6, 0.3, 100)
     with pytest.raises(DomainError):
         MixtureSpec(fam, 0.6, -0.1, 100)
     with pytest.raises(DomainError):
@@ -245,11 +245,33 @@ def test_family_registry():
     with pytest.raises(DomainError):
         mixture_family("cauchy-location")
     with pytest.raises(DomainError):
-        heteroscedastic_normal_mixture(0.0)
+        mixture_family("heteroscedastic-normal", sigma0=0.0)
+    # every name x every regime it supports builds; the default regime comes first
+    supported = {
+        "normal": ("sparse",),
+        "heteroscedastic-normal": ("sparse",),
+        "scale-exponential": ("dense", "sparse"),
+        "location-gumbel": ("sparse", "dense"),
+        "scale-frechet": ("sparse", "dense"),
+    }
+    assert set(MIXTURE_FAMILY_NAMES) == set(supported)
+    for name, regimes in supported.items():
+        assert mixture_family(name).regime == regimes[0]
+        for regime in regimes:
+            assert mixture_family(name, regime=regime).regime == regime
+    # a regime or parameter the family does not take is an error, not ignored
+    for name, kwargs, named in (
+        ("normal", {"regime": "dense"}, "dense"),
+        ("heteroscedastic-normal", {"regime": "dense"}, "dense"),
+        ("normal", {"shape": 2.0}, "shape"),
+        ("scale-exponential", {"sigma0": 2.0}, "sigma0"),
+    ):
+        with pytest.raises(DomainError, match=named):
+            mixture_family(name, **kwargs)
 
 
 def test_sample_mixture_deterministic():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 500)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 500)
     d1, k1 = sample_mixture(spec, 99)
     d2, k2 = sample_mixture(spec, 99)
     assert k1 == k2
@@ -259,7 +281,7 @@ def test_sample_mixture_deterministic():
 
 
 def test_sample_mixture_degenerate_weights():
-    fam = normal_location_mixture()
+    fam = mixture_family("normal")
     data, k = sample_mixture(MixtureSpec(fam, 0.6, 0.4, 300, epsilon_override=0.0), 7)
     assert k == 0 and data.shape == (300,)
     _, k = sample_mixture(MixtureSpec(fam, 0.6, 0.4, 300, epsilon_override=1.0), 7)
@@ -268,7 +290,7 @@ def test_sample_mixture_degenerate_weights():
 
 def test_signal_count_is_binomial():
     """Latent counts across 100 seeds stay inside the central 99.9% band."""
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 10_000,
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 10_000,
                        epsilon_override=0.01)
     ks = np.array([sample_mixture(spec, seed)[1] for seed in range(100)])
     lo = stats.binom.ppf(0.0005, 10_000, 0.01)
@@ -278,16 +300,9 @@ def test_signal_count_is_binomial():
 
 
 def test_sample_mixture_accepts_generator():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 200)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 200)
     data, k = sample_mixture(spec, np.random.default_rng(5))
     assert data.shape == (200,) and 0 <= k <= 200
-
-
-def test_mixture_log_ratio_requires_closed_form():
-    fam = replace(normal_location_mixture(), log_ratio_of=None)
-    spec = MixtureSpec(fam, 0.6, 0.4, 100)
-    with pytest.raises(DomainError):
-        spec.log_ratio()
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +361,7 @@ class _Window(Distribution):
 
 
 def _window_spec():
-    fam = replace(normal_location_mixture(), noise=Uniform(),
+    fam = replace(mixture_family("normal"), noise=Uniform(),
                   signal_of=lambda th: _Window(0.01))
     return MixtureSpec(fam, 0.6, 0.0, 100, epsilon_override=0.1)
 
@@ -359,7 +374,7 @@ def test_signal_cdf_transformed():
     out = signal_cdf_transformed(spec, v)
     assert np.all(np.diff(out) >= 0)
     # identity when the signal is the noise law
-    null = MixtureSpec(normal_location_mixture(), 0.6, 0.0, 100)
+    null = MixtureSpec(mixture_family("normal"), 0.6, 0.0, 100)
     assert signal_cdf_transformed(null, 0.37) == pytest.approx(0.37, rel=1e-12)
 
 
@@ -374,13 +389,13 @@ def test_sparse_curve_hand_value():
 
 
 def test_full_curve_vanishes_when_signal_is_noise():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.0, 400)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.0, 400)
     curve = diagnostic_H(spec, [0.05, 0.1, 0.3, 0.49])
     np.testing.assert_allclose(curve.values, 0.0, atol=1e-12)
 
 
 def test_sparse_dominates_full_minus_centering():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 1000)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 1000)
     v = np.linspace(0.01, 0.49, 25)
     full = diagnostic_H(spec, v).values
     sparse = diagnostic_H_sparse(spec, v).values
@@ -389,7 +404,7 @@ def test_sparse_dominates_full_minus_centering():
 
 
 def test_diagnostic_grid_validation():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 100)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 100)
     for bad in ([0.5], [0.0, 0.1], [-0.1], [0.3, 0.6]):
         with pytest.raises(DomainError):
             diagnostic_H(spec, bad)
@@ -400,13 +415,13 @@ def test_diagnostic_grid_validation():
 
 
 def test_h_exponent_zero_for_null_signal():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.0, 1000)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.0, 1000)
     t = np.array([0.2, 0.5, 1.0, 4.0])
     np.testing.assert_array_equal(h_exponent(spec, t), np.zeros(4))
 
 
 def test_h_exponent_domain():
-    spec = MixtureSpec(normal_location_mixture(), 0.6, 0.4, 1000)
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 1000)
     t_min = math.log(2.0) / math.log(1000.0)
     with pytest.raises(DomainError):
         h_exponent(spec, 0.9 * t_min)
@@ -416,7 +431,7 @@ def test_h_exponent_domain():
 def test_h_exponent_normal_identity():
     """For the Gaussian location model h~(x) = (2 sqrt(r) x - r) log n exactly."""
     n = 10**8
-    spec = MixtureSpec(normal_location_mixture(), 0.75, 0.25, n)
+    spec = MixtureSpec(mixture_family("normal"), 0.75, 0.25, n)
     got = h_exponent_normal(spec, 1.0) / math.log(n)
     assert got == pytest.approx(0.75, rel=1e-12)
     assert abs(got - 0.75) < 0.01
@@ -428,7 +443,7 @@ def test_h_exponent_normal_identity():
 def test_h_exponent_scale_exponential_limit():
     """Tilted-family h(t)/log n approaches r*p (= r here) beyond the kink."""
     n = 10**8
-    spec = MixtureSpec(scale_exponential_mixture("sparse"), 0.75, 0.4, n)
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="sparse"), 0.75, 0.4, n)
     for t in (0.5, 0.6, 1.0, 3.0):
         assert h_exponent(spec, t) / math.log(n) == pytest.approx(0.4, abs=0.02)
     # below the kink the exponent collapses
