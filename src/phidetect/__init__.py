@@ -24,7 +24,6 @@ from .divergence import (
 )
 from .nulldist import (
     CalibrationTable,
-    asymptotic_critical,
     cache_load,
     cache_path,
     cache_store,
@@ -49,9 +48,7 @@ from .models import (
     Uniform,
     diagnostic_H,
     diagnostic_H_sparse,
-    fitted_tail_exponent,
     h_exponent,
-    h_exponent_normal,
     location_gumbel_family,
     mixture_family,
     sample_mixture,
@@ -79,7 +76,6 @@ from .experiments import (
     TestOutcome,
     boundary_comparison,
     log_likelihood_ratio,
-    lr_null_table,
     power_sweep,
     run_divergence_test,
     run_lr_test,

@@ -218,6 +218,14 @@ def _split_values(text: str) -> list[str]:
     return [p for p in re.split(r"[,\s]+", text.strip()) if p]
 
 
+def _ini_integer(text: str, key: str) -> int:
+    """A sample size from an INI file: ``1e5`` reads as 100000; ``100.7`` is an error."""
+    value = float(text)
+    if not value.is_integer():
+        raise DomainError(f"{key} must be a whole number, got {text!r}")
+    return int(value)
+
+
 def _load_ini(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path, "r", encoding="utf-8") as fh:
@@ -250,7 +258,7 @@ def _power_config_from_ini(cp: configparser.ConfigParser, workers: int,
         betas=tuple(float(v) for v in _split_values(grid.get("betas", ""))),
         rs=tuple(float(v) for v in _split_values(grid.get("rs", ""))),
         s_values=tuple(float(v) for v in _split_values(grid.get("s", "2"))),
-        n_values=tuple(int(float(v)) for v in _split_values(grid.get("ns", ""))),
+        n_values=tuple(_ini_integer(v, "ns") for v in _split_values(grid.get("ns", ""))),
         alpha=grid.getfloat("alpha", 0.05),
         reps=grid.getint("reps", 200),
         seed=grid.getint("seed", 0),
@@ -379,7 +387,7 @@ def _mixture_from_ini(cp: configparser.ConfigParser) -> MixtureSpec:
     fam = mixture_family(fields["family"], regime=fields["regime"],
                          **dict(fields["family_params"]))
     return MixtureSpec(fam, model.getfloat("beta"), model.getfloat("r"),
-                       int(model.getfloat("n")), epsilon_override=fields["epsilon_override"])
+                       _ini_integer(model["n"], "n"), epsilon_override=fields["epsilon_override"])
 
 
 def cmd_diagnose(args) -> int:

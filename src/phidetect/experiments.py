@@ -7,11 +7,10 @@ hash of the master seed and the cell coordinates, and every replicate uses
 an independent counter-based substream, so results are byte-identical for a
 given configuration regardless of worker count or execution order.
 
-``run_lr_test`` is the Neyman-Pearson benchmark.  On a detection boundary it
-is used in zero-threshold form (reject iff the posterior likelihood favours
-the mixture), which is the form whose type I + type II error sum has the
-sharp limit 2*(1 - Phi(sqrt(Var T)/2)) for dense tilts; off the boundary it
-is calibrated from an MC null table like any other test.
+``run_lr_test`` is the Neyman-Pearson benchmark in zero-threshold form
+(reject iff the posterior likelihood favours the mixture), the form whose
+type I + type II error sum has the sharp limit 2*(1 - Phi(sqrt(Var T)/2))
+for dense tilts on the detection boundary.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "run_divergence_test",
     "LrOutcome",
     "log_likelihood_ratio",
-    "lr_null_table",
     "run_lr_test",
     "PowerGridConfig",
     "PowerResult",
@@ -141,31 +139,14 @@ def log_likelihood_ratio(data, spec: MixtureSpec) -> float:
     return float(np.sum(np.logaddexp(math.log1p(-eps), math.log(eps) + log_r)))
 
 
-def lr_null_table(spec: MixtureSpec, reps: int, seed: int) -> np.ndarray:
-    """Sorted log-likelihood-ratio values under P_0^n, for MC calibration."""
-    if reps < 100:
-        raise DomainError("lr_null_table requires reps >= 100")
-    vals = np.empty(reps, dtype=np.float64)
-    for j in range(reps):
-        rng = replicate_rng(seed, j)
-        vals[j] = log_likelihood_ratio(spec.noise.sample(spec.n, rng), spec)
-    return np.sort(vals)
+def run_lr_test(data, spec: MixtureSpec) -> LrOutcome:
+    """Zero-threshold likelihood-ratio test of P_0^n against the mixture.
 
-
-def run_lr_test(
-    data, spec: MixtureSpec, lr_table: np.ndarray | None = None, alpha: float = 0.05
-) -> LrOutcome:
-    """Likelihood-ratio test of P_0^n against the mixture.
-
-    With ``lr_table`` (a sorted MC null sample of the llr for the same spec)
-    the test is calibrated at level alpha.  Without it the zero-threshold
-    Neyman-Pearson form is used — reject iff llr >= 0 — which is the variant
-    whose error sum attains the sharp boundary bound.
+    Reject iff llr >= 0: the Neyman-Pearson form whose error sum attains the
+    sharp boundary bound.
     """
     llr = log_likelihood_ratio(data, spec)
-    if lr_table is None:
-        return LrOutcome(llr, llr >= 0.0)
-    return LrOutcome(llr, llr > critical_from_sorted(np.asarray(lr_table), alpha))
+    return LrOutcome(llr, llr >= 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -287,17 +268,24 @@ def power_sweep(config: PowerGridConfig) -> list[PowerResult]:
 
     Results come back in grid order.  Calibration tables are resolved first
     (one shared-draw build per n covering all s) and reduced to one critical
-    value per (n, s), so cells never touch the cache.
+    value per (n, s), so cells never touch the cache.  A family that cannot
+    be built gets no tables at all; every cell then records its error.
     """
     coords = config.cells()
+    try:
+        mixture_family(config.family, regime=config.regime, **dict(config.family_params))
+    except DomainError:
+        n_values = []
+    else:
+        n_values = sorted(set(config.n_values))
     tseed = config.resolved_table_seed()
     crit = {}
-    for n in sorted(set(config.n_values)):
+    for n in n_values:
         tables = ensure_tables(config.cache_dir, n, config.s_values, config.table_reps,
                                tseed, workers=config.workers)
         for s, table in tables.items():
             crit[(n, s)] = critical_from_sorted(table.sorted_stats, config.alpha)
-    crits = [crit[(n, s)] for _, _, s, n in coords]
+    crits = [crit.get((n, s), math.nan) for _, _, s, n in coords]
     if config.workers <= 1:
         return [_run_cell(config, c, k) for c, k in zip(coords, crits)]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:

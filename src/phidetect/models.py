@@ -19,8 +19,8 @@ builder.  ``mixture_family`` is the one constructor for a registered family
 and rejects any other regime or parameter; ``expfam_mixture`` builds a
 mixture from any ``ExponentialFamily``.
 
-The diagnostics H_n, H~_n (curves over v) and the exponents h_n(t), h~_n(x)
-quantify detectability; they are exact formula evaluations, no simulation.
+The diagnostics H_n, H~_n (curves over v) and the exponent h_n(t) quantify
+detectability; they are exact formula evaluations, no simulation.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "Gumbel",
     "Frechet",
     "ExponentialFamily",
-    "fitted_tail_exponent",
     "scale_exponential_family",
     "location_gumbel_family",
     "scale_frechet_family",
@@ -64,7 +63,6 @@ __all__ = [
     "diagnostic_H",
     "diagnostic_H_sparse",
     "h_exponent",
-    "h_exponent_normal",
 ]
 
 # p-values are kept strictly inside (0,1): in-support observations whose cdf
@@ -330,37 +328,6 @@ class ExponentialFamily:
         m1 = _quad_unit(lambda w: float(T(Q(w))), "E[T]")
         m2 = _quad_unit(lambda w: float(T(Q(w))) ** 2, "E[T^2]")
         return m2 - m1 * m1
-
-
-def fitted_tail_exponent(family: ExponentialFamily, u_grid=None) -> float:
-    """Numeric check of the tail regularity: slope fit of log D(u) vs log u.
-
-    D(u) = T_sup - T(Q_0(u)) (or at Q_0(1-u) for upper signal tails); if
-    D(u) = u^{1/p} * slowly-varying, the fitted slope estimates 1/p and the
-    return value is its reciprocal.
-    """
-    if u_grid is None:
-        u_grid = np.logspace(-7, -3, 9)
-    u = np.asarray(u_grid, dtype=np.float64)
-    if family.signal_tail == "lower":
-        x = family.base.quantile(u)
-    else:
-        x = family.base.quantile_upper(u)
-    t_vals = np.asarray(family.T(x), dtype=np.float64)
-    # essential sup of T along the signal tail, taken as the limit value
-    t_sup = np.asarray(
-        family.T(
-            family.base.quantile(np.array([1e-13]))
-            if family.signal_tail == "lower"
-            else family.base.quantile_upper(np.array([1e-13]))
-        ),
-        dtype=np.float64,
-    )[0]
-    d = t_sup - t_vals
-    if np.any(d <= 0.0):
-        raise DomainError("tail gap is not positive; statistic not regular at its sup")
-    slope = np.polyfit(np.log(u), np.log(d), 1)[0]
-    return 1.0 / slope
 
 
 def scale_exponential_family() -> ExponentialFamily:
@@ -668,28 +635,26 @@ class DiagnosticCurve:
         object.__setattr__(self, "values", vals)
 
 
-def _check_half_open_grid(v_grid) -> np.ndarray:
+def _diagnostic_terms(spec: MixtureSpec, v_grid):
+    """Shared part of H_n and H~_n: the grid v, the signal masses mu(0,v] and
+    mu[1-v,1), and the scale sqrt(n) eps_n / sqrt(v)."""
     v = np.asarray(v_grid, dtype=np.float64)
     if np.any(~((v > 0.0) & (v < 0.5))):
         raise DomainError("diagnostic grid must lie inside (0, 1/2)")
-    return v
+    lower = signal_cdf_transformed(spec, v)
+    upper = 1.0 - signal_cdf_transformed(spec, 1.0 - v)
+    return v, lower, upper, math.sqrt(spec.n) * spec.epsilon / np.sqrt(v)
 
 
 def diagnostic_H(spec: MixtureSpec, v_grid) -> DiagnosticCurve:
     """H_n(v) = (sqrt(n) eps_n / sqrt(v)) * (|mu(0,v] - v| + |mu[1-v,1) - v|)."""
-    v = _check_half_open_grid(v_grid)
-    lower = signal_cdf_transformed(spec, v)
-    upper = 1.0 - signal_cdf_transformed(spec, 1.0 - v)
-    scale = math.sqrt(spec.n) * spec.epsilon / np.sqrt(v)
+    v, lower, upper, scale = _diagnostic_terms(spec, v_grid)
     return DiagnosticCurve(v, scale * (np.abs(lower - v) + np.abs(upper - v)), CurveKind.FULL)
 
 
 def diagnostic_H_sparse(spec: MixtureSpec, v_grid) -> DiagnosticCurve:
     """Sparse simplification: drops the centering, H~ = scale * (mu(0,v] + mu[1-v,1))."""
-    v = _check_half_open_grid(v_grid)
-    lower = signal_cdf_transformed(spec, v)
-    upper = 1.0 - signal_cdf_transformed(spec, 1.0 - v)
-    scale = math.sqrt(spec.n) * spec.epsilon / np.sqrt(v)
+    v, lower, upper, scale = _diagnostic_terms(spec, v_grid)
     return DiagnosticCurve(v, scale * (lower + upper), CurveKind.SPARSE_SIMPLIFIED)
 
 
@@ -698,8 +663,11 @@ def h_exponent(spec: MixtureSpec, t):
 
     h_{n,1} evaluates log(d mu_n/d P_0) at F_0^{-1}(n^{-t}), h_{n,2} at
     F_0^{-1}(1 - n^{-t}); the deep upper quantile is computed through the
-    stable upper-tail inverse.  Requires t >= log 2 / log n so n^{-t} <= 1/2.
+    stable upper-tail inverse.  Requires n >= 2 and t >= log 2 / log n so
+    n^{-t} <= 1/2.
     """
+    if spec.n < 2:
+        raise DomainError(f"h_exponent requires n >= 2, got {spec.n}")
     ratio = spec.log_ratio()
     ta = np.asarray(t, dtype=np.float64)
     t_min = math.log(2.0) / math.log(spec.n)
@@ -710,11 +678,3 @@ def h_exponent(spec: MixtureSpec, t):
     h2 = ratio(spec.noise.quantile_upper(w))
     out = np.maximum(h1, h2)
     return float(out) if np.ndim(t) == 0 else out
-
-
-def h_exponent_normal(spec: MixtureSpec, x):
-    """h~_n(x): the signal log-density-ratio at x * sqrt(2 log n)."""
-    ratio = spec.log_ratio()
-    xa = np.asarray(x, dtype=np.float64)
-    out = np.asarray(ratio(xa * math.sqrt(2.0 * math.log(spec.n))))
-    return float(out) if np.ndim(x) == 0 else out

@@ -2,11 +2,11 @@
 
 Two routes are provided:
 
-* ``asymptotic_critical`` — the limit-law critical value built from the
-  centering sequence r_n and the Gumbel-type limit with CDF exp(-4 e^{-x}).
-  The limit is the same for every s, but convergence is known to be very
-  slow, so these values are advisory only; every consumer in this package
-  labels them as such.
+* ``gumbel_quantile(1 - alpha)`` — the limit-law critical value on the
+  ``n*S_n(s) - r_n`` scale, from the Gumbel-type limit with CDF
+  exp(-4 e^{-x}).  The limit is the same for every s, but convergence is
+  known to be very slow, so these values are advisory only; every consumer
+  in this package labels them as such.
 * ``mc_null_tables`` / ``critical_from_sorted`` — Monte-Carlo calibration
   under the null (uniform p-values), the recommended route.  Tables are
   bit-exactly reproducible from (n, s, reps, seed, rng_id) and are loaded or
@@ -41,7 +41,6 @@ __all__ = [
     "centering_offset",
     "gumbel_cdf",
     "gumbel_quantile",
-    "asymptotic_critical",
     "CalibrationTable",
     "mc_null_tables",
     "critical_from_sorted",
@@ -91,18 +90,6 @@ def gumbel_quantile(p) -> float | np.ndarray:
         raise DomainError("gumbel_quantile requires 0 < p < 1")
     out = _LOG_4 - np.log(-np.log(pa))
     return float(out) if np.ndim(p) == 0 else out
-
-
-def asymptotic_critical(n: int, alpha: float) -> float:
-    """Limit-law critical value for S_n(s) at level alpha: (r_n + q(1-alpha))/n.
-
-    Identical for all s.  Advisory only — convergence of the finite-n null
-    distribution to the limit is very slow, so Monte-Carlo calibration is the
-    supported route; report this value alongside, never instead.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must be in (0, 1)")
-    return (centering(n) + gumbel_quantile(1.0 - alpha)) / n
 
 
 #: On-disk format version for calibration tables.

@@ -288,6 +288,15 @@ def test_cmd_power_config_errors(capsys, tmp_path):
     assert code == 2 and "[model] and [grid]" in err
     code, _, _ = _run(capsys, ["power", "--config", tmp_path / "nope.ini"])
     assert code == 3
+    fractional = tmp_path / "fractional.ini"
+    fractional.write_text(POWER_INI.replace("ns = 64", "ns = 64 100.7"))
+    code, out, err = _run(capsys, ["power", "--config", fractional,
+                                   "--cache-dir", tmp_path / "cache"])
+    assert code == 2 and out == "" and "100.7" in err
+    assert not (tmp_path / "cache").exists()
+    fractional.write_text(POWER_INI.replace("ns = 64", "ns = 1e5"))
+    config, _ = _power_config_from_ini(_load_ini(fractional), 1, tmp_path / "cache")
+    assert config.n_values == (100_000,)
 
 
 # --------------------------------------------------------------------------
@@ -399,6 +408,13 @@ def test_cmd_diagnose_errors(capsys, tmp_path):
     nomodel.write_text("[grid]\n")
     code, _, err = _run(capsys, ["diagnose", "--model-config", nomodel])
     assert code == 2 and "[model]" in err
+    fractional = tmp_path / "fractional.ini"
+    fractional.write_text(DIAG_INI.replace("n = 1000", "n = 99.9"))
+    code, out, err = _run(capsys, ["diagnose", "--model-config", fractional])
+    assert code == 2 and out == "" and "99.9" in err
+    fractional.write_text(DIAG_INI.replace("n = 1000", "n = 1e3"))
+    assert _run(capsys, ["diagnose", "--model-config", fractional]) == \
+        _run(capsys, ["diagnose", "--model-config", ini])
 
 
 def test_cmd_diagnose_rejects_a_regime_the_family_lacks(capsys, tmp_path):

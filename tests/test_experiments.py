@@ -13,7 +13,6 @@ from phidetect import (
     boundary_comparison,
     centering_offset,
     log_likelihood_ratio,
-    lr_null_table,
     mc_null_tables,
     mixture_family,
     power_sweep,
@@ -180,20 +179,6 @@ def test_run_lr_test_zero_threshold():
     assert run_lr_test(big, spec).reject
 
 
-def test_lr_null_table_and_calibrated_test():
-    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.3, 80)
-    table = lr_null_table(spec, 150, 21)
-    assert np.all(np.diff(table) >= 0.0)
-    np.testing.assert_array_equal(table, lr_null_table(spec, 150, 21))
-    with pytest.raises(DomainError):
-        lr_null_table(spec, 99, 21)
-    rejects = 0
-    for j in range(100):
-        x = spec.noise.sample(80, replicate_rng(22, j))
-        rejects += run_lr_test(x, spec, lr_table=table, alpha=0.1).reject
-    assert 0.02 <= rejects / 100 <= 0.2
-
-
 # --------------------------------------------------------------------------
 # power sweeps
 
@@ -278,6 +263,14 @@ def test_power_sweep_records_cell_failures(tmp_path):
     assert all(r.error is not None for r in res)
     assert "DomainError" in res[0].error
     assert math.isnan(res[0].rejection_rate)
+
+
+def test_power_sweep_builds_no_table_for_a_family_it_cannot_build(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    res = power_sweep(_smoke_config(cache, regime="dense"))
+    assert list(cache.iterdir()) == []
+    assert len(res) == 2 and all("regime 'dense'" in r.error for r in res)
 
 
 def test_power_sweep_cells_never_read_the_cache(tmp_path, monkeypatch):

@@ -18,9 +18,7 @@ from phidetect import (
     Uniform,
     diagnostic_H,
     diagnostic_H_sparse,
-    fitted_tail_exponent,
     h_exponent,
-    h_exponent_normal,
     location_gumbel_family,
     mixture_family,
     sample_mixture,
@@ -196,7 +194,15 @@ def test_theta_domain_enforced():
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_fitted_tail_exponent_near_one(fam):
-    assert fitted_tail_exponent(fam) == pytest.approx(1.0, abs=5e-3)
+    """Tail regularity: T_sup - T(Q_0(u)) ~ u^{1/p}, so the log-log slope is 1/p."""
+    upper = fam.signal_tail == "upper"
+    quantile = fam.base.quantile_upper if upper else fam.base.quantile
+    u = np.logspace(-7, -3, 9)
+    t_sup = float(np.asarray(fam.T(quantile(np.array([1e-13]))))[0])
+    d = t_sup - np.asarray(fam.T(quantile(u)), dtype=np.float64)
+    assert np.all(d > 0.0)
+    slope = np.polyfit(np.log(u), np.log(d), 1)[0]
+    assert 1.0 / slope == pytest.approx(1.0, abs=5e-3)
     assert fam.tail_exponent == 1.0
 
 
@@ -426,18 +432,8 @@ def test_h_exponent_domain():
     with pytest.raises(DomainError):
         h_exponent(spec, 0.9 * t_min)
     assert math.isfinite(h_exponent(spec, t_min))
-
-
-def test_h_exponent_normal_identity():
-    """For the Gaussian location model h~(x) = (2 sqrt(r) x - r) log n exactly."""
-    n = 10**8
-    spec = MixtureSpec(mixture_family("normal"), 0.75, 0.25, n)
-    got = h_exponent_normal(spec, 1.0) / math.log(n)
-    assert got == pytest.approx(0.75, rel=1e-12)
-    assert abs(got - 0.75) < 0.01
-    x = np.array([0.2, 0.6, 1.4])
-    want = (2.0 * math.sqrt(0.25) * x - 0.25) * math.log(n)
-    np.testing.assert_allclose(h_exponent_normal(spec, x), want, rtol=1e-12)
+    with pytest.raises(DomainError, match="n >= 2"):
+        h_exponent(MixtureSpec(mixture_family("normal"), 0.6, 0.4, 1), 1.0)
 
 
 def test_h_exponent_scale_exponential_limit():

@@ -11,7 +11,6 @@ from phidetect import (
     CalibrationTable,
     DomainError,
     RNG_ID,
-    asymptotic_critical,
     cache_load,
     cache_path,
     cache_store,
@@ -74,17 +73,6 @@ def test_gumbel_quantile_values_and_roundtrip():
     for bad in (0.0, 1.0, -0.1):
         with pytest.raises(DomainError):
             gumbel_quantile(bad)
-
-
-def test_asymptotic_critical():
-    got = asymptotic_critical(10_000, 0.05)
-    assert got == pytest.approx(5.7101314906079835e-4, rel=1e-13)
-    assert got == pytest.approx(5.7101e-4, abs=1e-8)
-    assert asymptotic_critical(10_000, 0.01) > got  # smaller alpha, larger cut
-    with pytest.raises(DomainError):
-        asymptotic_critical(15, 0.05)
-    with pytest.raises(DomainError):
-        asymptotic_critical(10_000, 0.0)
 
 
 # --------------------------------------------------------------------------
