@@ -8,7 +8,7 @@ slow Gumbel-type limit exposed as advisory.  Mixture models, detection
 boundaries, power experiments, and a CLI sit on top.
 """
 
-from .errors import CacheCorruptionError, DomainError, IntegrationError
+from .errors import CacheCorruptionError, DomainError
 from ._rand import RNG_ID, replicate_rng, stable_seed, uniform_open
 from .divergence import (
     DivergenceStatistic,

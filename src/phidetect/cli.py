@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import re
 import sys
@@ -101,9 +102,19 @@ def read_data_file(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float as its repr ('inf'), as the
+    human rendering shows it, so the JSON output stays strict."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args, human_lines: list[str], payload: dict) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in human_lines:
             print(line)
@@ -117,6 +128,13 @@ def _kv(key: str, value) -> str:
 # test
 
 
+def _check_levels(alphas) -> None:
+    """Reject a level outside (0, 1) before any null table is loaded or built."""
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"alpha must be in (0, 1), got {a!r}")
+
+
 def _advisory_critical(n: int, alpha: float) -> float | None:
     """Limit-law critical value q(1 - alpha) on the n*S_n(s) - r_n scale; None
     below the centering domain or where 1 - alpha rounds to 1."""
@@ -124,6 +142,7 @@ def _advisory_critical(n: int, alpha: float) -> float | None:
 
 
 def cmd_test(args) -> int:
+    _check_levels([args.alpha])
     data = read_data_file(args.data_file)
     factory = _NOISE_MODELS.get(args.model)
     if factory is None:
@@ -178,6 +197,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 def cmd_calibrate(args) -> int:
     alphas = _parse_float_list(args.alpha_list)
+    _check_levels(alphas)
     cache = default_cache_dir(args.cache_dir)
     table = ensure_tables(cache, args.n, [args.s], args.reps, args.seed,
                           workers=args.workers)[float(args.s)]
@@ -219,8 +239,12 @@ def _split_values(text: str) -> list[str]:
 
 
 def _ini_integer(text: str, key: str) -> int:
-    """A sample size from an INI file: ``1e5`` reads as 100000; ``100.7`` is an error."""
-    value = float(text)
+    """An integer from an INI file, exact for integer literals: ``1e5`` reads
+    as 100000; ``100.7`` is an error."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
     if not value.is_integer():
         raise DomainError(f"{key} must be a whole number, got {text!r}")
     return int(value)
@@ -251,7 +275,7 @@ def _power_config_from_ini(cp: configparser.ConfigParser, workers: int,
     grid = cp["grid"]
     calib = cp["calibration"] if "calibration" in cp else {}
     output = cp["output"] if "output" in cp else {}
-    table_seed = int(calib["seed"]) if "seed" in calib else None
+    table_seed = _ini_integer(calib["seed"], "[calibration] seed") if "seed" in calib else None
     cache_dir = default_cache_dir(cache_flag or calib.get("cache_dir"))
     config = PowerGridConfig(
         **_model_fields(cp["model"]),
@@ -260,10 +284,10 @@ def _power_config_from_ini(cp: configparser.ConfigParser, workers: int,
         s_values=tuple(float(v) for v in _split_values(grid.get("s", "2"))),
         n_values=tuple(_ini_integer(v, "ns") for v in _split_values(grid.get("ns", ""))),
         alpha=grid.getfloat("alpha", 0.05),
-        reps=grid.getint("reps", 200),
-        seed=grid.getint("seed", 0),
+        reps=_ini_integer(grid.get("reps", "200"), "reps"),
+        seed=_ini_integer(grid.get("seed", "0"), "seed"),
         cache_dir=cache_dir,
-        table_reps=int(calib["reps"]) if "reps" in calib else 10_000,
+        table_reps=_ini_integer(calib.get("reps", "10000"), "[calibration] reps"),
         table_seed=table_seed,
         workers=workers,
     )

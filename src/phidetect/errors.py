@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["DomainError", "CacheCorruptionError", "IntegrationError"]
+__all__ = ["DomainError", "CacheCorruptionError"]
 
 
 class DomainError(ValueError):
@@ -10,6 +10,3 @@ class DomainError(ValueError):
 class CacheCorruptionError(RuntimeError):
     """A calibration cache file exists but its contents cannot be trusted."""
 
-
-class IntegrationError(RuntimeError):
-    """Numerical quadrature diverged or failed to reach the requested tolerance."""

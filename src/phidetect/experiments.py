@@ -153,6 +153,11 @@ def run_lr_test(data, spec: MixtureSpec) -> LrOutcome:
 # power sweeps
 
 
+def _table_seed(seed: int, table_seed: int | None) -> int:
+    """The calibration-table seed: ``table_seed`` when given, else derived from ``seed``."""
+    return stable_seed(seed, "calibration-tables") if table_seed is None else table_seed
+
+
 @dataclass(frozen=True)
 class PowerGridConfig:
     """A rectangular (beta, r, s, n) grid for one mixture family.
@@ -198,9 +203,7 @@ class PowerGridConfig:
         return list(itertools.product(self.betas, self.rs, self.s_values, self.n_values))
 
     def resolved_table_seed(self) -> int:
-        if self.table_seed is not None:
-            return self.table_seed
-        return stable_seed(self.seed, "calibration-tables")
+        return _table_seed(self.seed, self.table_seed)
 
 
 @dataclass(frozen=True)
@@ -346,7 +349,7 @@ def boundary_comparison(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     s_list = [float(s) for s in s_values]
-    tseed = table_seed if table_seed is not None else stable_seed(seed, "calibration-tables")
+    tseed = _table_seed(seed, table_seed)
     tables = ensure_tables(cache_dir, spec.n, s_list, table_reps, tseed, workers=workers)
     crits = np.array([critical_from_sorted(tables[s].sorted_stats, alpha) for s in s_list])
     null_seed = stable_seed(seed, "boundary-null")

@@ -9,9 +9,10 @@ three conventions, fixed per family:
 * ``theta_n = n^{-r}``          — exponential-family tilts, dense regime.
 
 Exponential families are tilts ``dP_theta/dP_0 = C(theta) exp(theta T(x))``
-of a base noise distribution; every family carries a closed-form tilted law,
-and the Laplace transform falls back to quadrature when no closed form is
-given.
+of a base noise distribution; every family carries a closed-form tilted law
+and Laplace transform.  Closed forms suffice because each shipped family is
+the scale tilt of a statistic g(X) ~ Exp(1) under P_0, with T = -g: then
+omega(theta) = 1/(1+theta) on theta > -1, Var T = 1 and p = 1.
 
 The named mixture families live in one registry, ``_FAMILIES``: each CLI
 name maps to its regimes (default first), the parameters it takes and a
@@ -27,17 +28,15 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from ._rand import uniform_open, replicate_rng
 from .divergence import SortedPValueSample
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 
 __all__ = [
     "Distribution",
@@ -226,22 +225,12 @@ class Frechet(Distribution):
 # exponential families
 
 
-def _quad_unit(f: Callable, what: str) -> float:
-    """Adaptive quadrature of f over the unit interval (p-scale substitution
-    of the half-line/real-line integral), rel tol 1e-8, divergence -> error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-8, limit=200)
-        except integrate.IntegrationWarning as exc:
-            raise IntegrationError(f"{what}: quadrature did not converge ({exc})") from exc
-    if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise IntegrationError(f"{what}: integral diverges or error too large (value={val}, err={err})")
-    return val
-
-
 class ExponentialFamily:
     """Tilted family dP_theta/dP_0 = C(theta) exp(theta T(x)).
+
+    The Laplace transform is a closed form.  The shipped families need no
+    other route: each tilts a statistic g(X) ~ Exp(1) under P_0 (T = -g),
+    so omega(theta) = 1/(1+theta).
 
     Parameters
     ----------
@@ -250,8 +239,7 @@ class ExponentialFamily:
     statistic:
         Vectorised natural statistic T.
     laplace:
-        Optional closed form for omega(theta) = E_0 exp(theta T); quadrature
-        on the p-scale otherwise.
+        Closed form theta -> omega(theta) = E_0 exp(theta T).
     tilted:
         Closed-form constructor theta -> Distribution for P_theta.
     theta_domain:
@@ -270,7 +258,7 @@ class ExponentialFamily:
         statistic: Callable,
         *,
         name: str = "expfam",
-        laplace: Callable | None = None,
+        laplace: Callable,
         tilted: Callable,
         theta_domain: tuple[float, float] = (-math.inf, math.inf),
         tail_exponent: float | None = None,
@@ -298,11 +286,7 @@ class ExponentialFamily:
 
     def laplace_transform(self, theta: float) -> float:
         """omega(theta) = integral of exp(theta*T) dP_0 (= 1/C(theta))."""
-        theta = self._check_theta(theta)
-        if self._laplace is not None:
-            return float(self._laplace(theta))
-        T, Q = self.T, self.base.quantile
-        return _quad_unit(lambda w: math.exp(theta * float(T(Q(w)))), f"omega({theta})")
+        return float(self._laplace(self._check_theta(theta)))
 
     def C(self, theta: float) -> float:
         return 1.0 / self.laplace_transform(theta)
@@ -322,40 +306,26 @@ class ExponentialFamily:
         """The law P_theta."""
         return self._tilted(self._check_theta(theta))
 
-    def var_T(self) -> float:
-        """Var_{P_0}(T), by quadrature of T and T^2 on the p-scale."""
-        T, Q = self.T, self.base.quantile
-        m1 = _quad_unit(lambda w: float(T(Q(w))), "E[T]")
-        m2 = _quad_unit(lambda w: float(T(Q(w))) ** 2, "E[T^2]")
-        return m2 - m1 * m1
+
+def _scale_tilt(base: Distribution, statistic: Callable, name: str, tilted: Callable,
+                signal_tail: str) -> ExponentialFamily:
+    """A tilt whose statistic has -T ~ Exp(1) under the base: omega(theta) =
+    1/(1+theta) on theta > -1, and p = 1."""
+    return ExponentialFamily(base, statistic, name=name, laplace=lambda th: 1.0 / (1.0 + th),
+                             tilted=tilted, theta_domain=(-1.0, math.inf), tail_exponent=1.0,
+                             signal_tail=signal_tail)
 
 
 def scale_exponential_family() -> ExponentialFamily:
     """Exp(1) base tilted by T(x) = -x: P_theta = Exp(rate 1+theta), p = 1."""
-    return ExponentialFamily(
-        Exponential(1.0),
-        lambda x: -np.asarray(x, dtype=np.float64),
-        name="scale-exponential",
-        laplace=lambda th: 1.0 / (1.0 + th),
-        tilted=lambda th: Exponential(1.0 / (1.0 + th)),
-        theta_domain=(-1.0, math.inf),
-        tail_exponent=1.0,
-        signal_tail="lower",
-    )
+    return _scale_tilt(Exponential(1.0), lambda x: -np.asarray(x, dtype=np.float64),
+                       "scale-exponential", lambda th: Exponential(1.0 / (1.0 + th)), "lower")
 
 
 def location_gumbel_family() -> ExponentialFamily:
     """Gumbel base tilted by T(x) = -exp(-x): P_theta = Gumbel(log(1+theta)), p = 1."""
-    return ExponentialFamily(
-        Gumbel(0.0),
-        lambda x: -np.exp(-np.asarray(x, dtype=np.float64)),
-        name="location-gumbel",
-        laplace=lambda th: 1.0 / (1.0 + th),
-        tilted=lambda th: Gumbel(math.log1p(th)),
-        theta_domain=(-1.0, math.inf),
-        tail_exponent=1.0,
-        signal_tail="upper",
-    )
+    return _scale_tilt(Gumbel(0.0), lambda x: -np.exp(-np.asarray(x, dtype=np.float64)),
+                       "location-gumbel", lambda th: Gumbel(math.log1p(th)), "upper")
 
 
 def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
@@ -363,16 +333,9 @@ def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
     if not shape > 0.0:
         raise DomainError("frechet shape must be positive")
     a = float(shape)
-    return ExponentialFamily(
-        Frechet(a, 1.0),
-        lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
-        name=f"scale-frechet(shape={a:g})",
-        laplace=lambda th: 1.0 / (1.0 + th),
-        tilted=lambda th: Frechet(a, (1.0 + th) ** (1.0 / a)),
-        theta_domain=(-1.0, math.inf),
-        tail_exponent=1.0,
-        signal_tail="upper",
-    )
+    return _scale_tilt(Frechet(a, 1.0), lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
+                       f"scale-frechet(shape={a:g})",
+                       lambda th: Frechet(a, (1.0 + th) ** (1.0 / a)), "upper")
 
 
 # --------------------------------------------------------------------------

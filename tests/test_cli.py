@@ -154,6 +154,35 @@ def test_cmd_test_error_exits(capsys, tmp_path):
     assert code == 2 and "unknown model" in err
 
 
+def test_cmd_test_rejects_a_bad_level_before_any_table(capsys, tmp_path, datafile):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, out, err = _run(capsys, ["test", datafile, "--s", "2", "--alpha", "1.5",
+                                   "--reps", "200", "--cache-dir", cache])
+    assert code == 2 and out == "" and "alpha" in err
+    assert list(cache.iterdir()) == []
+
+
+def test_cmd_test_json_is_strict_for_an_infinite_statistic(capsys, tmp_path):
+    # x = -40 has a normal p-value of ~1e-350, clamped to 1e-300: S_n(3) overflows
+    path = tmp_path / "far.txt"
+    path.write_text("-40\n0.1\n0.5\n-0.3\n1.2\n0.7\n-1.1\n0.2\n")
+    argv = ["test", path, "--model", "normal", "--s", "3", "--reps", "200",
+            "--cache-dir", tmp_path / "cache"]
+    code, human, _ = _run(capsys, argv)
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    code, raw, _ = _run(capsys, argv + ["--json"])
+    assert code == 0
+    payload = json.loads(raw, parse_constant=reject)
+    fields = dict(line.split(None, 1) for line in human.strip().split("\n"))
+    assert payload["statistic"] == fields["statistic"] == "inf"
+    assert payload["reject"] is True
+
+
 def test_unknown_flag_is_usage_error(datafile):
     with pytest.raises(SystemExit) as exc:
         main(["test", str(datafile), "--frobnicate"])
@@ -183,6 +212,15 @@ def test_cmd_calibrate_builds_and_reports(capsys, tmp_path):
     assert json.loads(raw2) == payload
     second_bytes = (tmp_path / "cache" / payload["table_file"].split("/")[-1]).read_bytes()
     assert first_bytes == second_bytes
+
+
+def test_cmd_calibrate_rejects_a_bad_level_before_any_table(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, out, err = _run(capsys, ["calibrate", "--n", "20", "--reps", "200",
+                                   "--alpha-list", "0.05,1.5", "--cache-dir", cache])
+    assert code == 2 and out == "" and "1.5" in err
+    assert list(cache.iterdir()) == []
 
 
 def test_cmd_calibrate_env_cache(capsys, tmp_path, monkeypatch):
@@ -297,6 +335,23 @@ def test_cmd_power_config_errors(capsys, tmp_path):
     fractional.write_text(POWER_INI.replace("ns = 64", "ns = 1e5"))
     config, _ = _power_config_from_ini(_load_ini(fractional), 1, tmp_path / "cache")
     assert config.n_values == (100_000,)
+    fractional.write_text(POWER_INI.replace("reps = 200", "reps = 100.5"))
+    code, out, err = _run(capsys, ["power", "--config", fractional,
+                                   "--cache-dir", tmp_path / "cache"])
+    assert code == 2 and out == "" and "100.5" in err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_power_ini_integers_share_one_reader(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(POWER_INI.replace("reps = 30", "reps = 1e3").replace("reps = 200", "reps = 1e3"))
+    config, _ = _power_config_from_ini(_load_ini(ini), 1, tmp_path / "cache")
+    assert (config.reps, config.table_reps) == (1000, 1000)
+    big = 9007199254740993  # 2**53 + 1: not a double
+    ini.write_text(POWER_INI.replace("seed = 424242", f"seed = {big}")
+                   .replace("seed = 11", f"seed = {big + 2}"))
+    config, _ = _power_config_from_ini(_load_ini(ini), 1, tmp_path / "cache")
+    assert (config.seed, config.table_seed) == (big, big + 2)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import phidetect
@@ -27,3 +30,13 @@ def test_package_reexports_only_public_module_names():
         for alias in node.names:
             assert alias.name in mod.__all__, f"{alias.name} is not in {mod.__name__}.__all__"
             assert getattr(phidetect, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    """Laplace transforms are closed forms; nothing on the CLI path integrates."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, phidetect.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
