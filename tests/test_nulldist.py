@@ -289,3 +289,19 @@ def test_cached_table_bytes_are_pinned(tmp_path):
             path = cache_store(table, tmp_path)
             got[(n, table.s)] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PINNED_TABLE_SHA256
+
+
+# sha256 of sorted_stats.tobytes() for the Berk-Jones members (s = 0, 1) of the
+# n=2000 five-s build above.  Pinned independently of the file format, so a
+# kernel rewrite that must leave these statistics untouched can prove it.
+PINNED_BERK_JONES_STATS_SHA256 = {
+    0.0: "40173d3137ef70986b7f130c4aa6997f021a99cc51aee6e193b8f4a723ab55fb",
+    1.0: "81daff772b3a4fa24f7db48360dce2f589ba511a2e560902104ef293c72cc2ce",
+}
+
+
+def test_berk_jones_statistics_are_pinned():
+    tables = mc_null_tables(2000, (-1.0, 0.0, 0.5, 1.0, 2.0), 200, 20260)
+    got = {t.s: hashlib.sha256(t.sorted_stats.tobytes()).hexdigest()
+           for t in tables if t.s in PINNED_BERK_JONES_STATS_SHA256}
+    assert got == PINNED_BERK_JONES_STATS_SHA256
