@@ -17,19 +17,35 @@ where ``F_n`` is constant the supremum sits at an interval endpoint; the
 implementation therefore evaluates only the 2(n-1) endpoint candidates and is
 exact, with no grid search.
 
-Numerics: ``K_s`` is evaluated through ``expm1``/``log1p`` identities in the
-jump ``d = u - v``,
+Numerics: everything is written in the jump ``d = u - v``, computed once per
+sample.  Three members need no transcendental function:
+
+    s = 2   (higher criticism):  K_2  = d**2 / (2 v (1-v))
+    s = -1  (Neyman chi^2):      K_-1 = d**2 / (2 u (1-u))
+    s = 1/2 (Hellinger):         K_1/2 = 2[(d/(sqrt(u)+sqrt(v)))**2
+                                          + (d/(sqrt(1-u)+sqrt(1-v)))**2]
+
+Each is a handful of correctly rounded operations with no cancellation, so it
+is accurate to a few ulps everywhere, including v at the p-value floor 1e-300
+(where K_2 is about 1e299, finite).  Every other s uses ``expm1``/``log1p``:
 
     K_s(u,v) = -(v*expm1(s*L1) + (1-v)*expm1(s*L2)) / (s*(1-s)),
     L1 = log1p(d/v),  L2 = log1p(-d/(1-v)),
 
-which stays fully accurate as u -> v (relative error O(eps/|d|) instead of
-O(eps/d**2) for the textbook form) and never overflows for moderate s.
+with the limits K_0 = -(v*L1 + (1-v)*L2) and K_1 = u*L1 + (1-u)*L2.  This
+stays accurate as u -> v (relative error O(eps/|d|) instead of O(eps/d**2)
+for the textbook form).
+
+Screen for the Berk-Jones members s = 0, 1: K_1(u,v) = int_v^u (u-t)/(t(1-t)) dt
+(K_0 swaps u and v), and t(1-t) is concave, so both are at most
+d**2 / (2 min(u(1-u), v(1-v))) = max(K_2, K_-1).  Their maxima therefore need
+the logs only on the few candidates whose bound reaches an exact K_s value
+(see ``_screened``); the result is bit-identical to a full pass.
 
 Workspace: the candidates live in reused length-2(n-1) buffers, no concatenation:
 the left half holds the left endpoints (i/n, X_{i:n}), the right half the right
 endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and ``1-uu`` are built once per
-n; a sample is copied into the halves of ``vv``, then ``1-vv``, L1, L2 and K_s
+n; a sample is copied into the halves of ``vv``, then ``1-vv``, ``d`` and K_s
 are written in place.  Each thread keeps one workspace, for its last n (numpy
 releases the GIL, so a shared one would race); no view of it outlives a call.
 """
@@ -171,32 +187,46 @@ def phi(s: float | PhiIndex, x) -> float | np.ndarray:
     return out
 
 
-def _fill_logs(u, v, cv, L1, L2) -> None:
-    """L1 = log1p(d/v), L2 = log1p(-d/cv) with d = u - v, written in place."""
-    np.negative(np.subtract(u, v, out=L1), out=L2)  # not v - u: keeps -0.0 at u == v
-    np.log1p(np.divide(L2, cv, out=L2), out=L2)
-    np.log1p(np.divide(L1, v, out=L1), out=L1)
+def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.ndarray:
+    """K_s(u, v) into ``out``; ``cu``, ``cv`` are 1 - u, 1 - v and ``d`` = u - v.
 
-
-def _k_from_logs(idx: PhiIndex, u, cu, v, cv, L1, L2, out, tmp) -> np.ndarray:
-    """K_s(u, v) into ``out`` from the logs L1 = log(u/v), L2 = log((1-u)/(1-v)).
-
-    ``cu``, ``cv`` are 1 - u, 1 - v.  This is the only place the s-regime switch
-    for K_s is written; every K_s evaluation in the package goes through it.
-    Callers that can overflow ``expm1`` (p-values near 0) silence it themselves,
-    so the table builder's inner loop pays for no ``errstate``.
+    This is the only place the s-regime switch for K_s is written; every K_s
+    evaluation in the package goes through it.  ``a`` and ``b`` are scratch.
+    The log forms first fill them with L1 = log(u/v), L2 = log((1-u)/(1-v)),
+    unless ``logs`` says they hold them already; s = 0 and s = 1 leave them
+    intact, so one fill serves both.  Callers that can overflow (p-values near
+    0) silence it themselves, so the table builder's inner loop pays for no
+    ``errstate``.
     """
+    sv = idx.s
+    if sv == 2.0 or sv == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
+        w, cw = (v, cv) if sv == 2.0 else (u, cu)
+        np.multiply(w, cw, out=out)
+        out += out
+        np.divide(d, out, out=out)
+        return np.multiply(out, d, out=out)
+    if sv == 0.5:  # 2[(d/(sqrt(u)+sqrt(v)))^2 + (d/(sqrt(1-u)+sqrt(1-v)))^2]
+        np.add(np.sqrt(u, out=a), np.sqrt(v, out=b), out=a)
+        np.square(np.divide(d, a, out=out), out=out)
+        np.add(np.sqrt(cu, out=a), np.sqrt(cv, out=b), out=a)
+        out += np.square(np.divide(d, a, out=a), out=a)
+        return np.add(out, out, out=out)
+    if not logs:
+        np.log1p(np.divide(d, v, out=a), out=a)
+        np.log1p(np.divide(np.negative(d, out=b), cv, out=b), out=b)
     if idx.regime is Regime.LIMIT_S0:
-        np.add(np.multiply(v, L1, out=out), np.multiply(cv, L2, out=tmp), out=out)
+        np.multiply(v, a, out=out)
+        out += cv * b
         return np.negative(out, out=out)
     if idx.regime is Regime.LIMIT_S1:
-        return np.add(np.multiply(u, L1, out=out), np.multiply(cu, L2, out=tmp), out=out)
-    sv = idx.s
-    np.expm1(np.multiply(L1, sv, out=out), out=out)
+        np.multiply(u, a, out=out)
+        out += cu * b
+        return out
+    np.expm1(np.multiply(a, sv, out=out), out=out)
     out *= v
-    np.expm1(np.multiply(L2, sv, out=tmp), out=tmp)
-    tmp *= cv
-    out += tmp
+    np.expm1(np.multiply(b, sv, out=b), out=b)
+    b *= cv
+    out += b
     return np.divide(out, -(sv * (1.0 - sv)), out=out)
 
 
@@ -212,43 +242,89 @@ def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
         raise DomainError("kappa requires 0 < u < 1")
     if np.any(~((va > 0.0) & (va < 1.0))):
         raise DomainError("kappa requires 0 < v < 1")
-    L1, L2, out, tmp = (np.empty(np.broadcast_shapes(ua.shape, va.shape)) for _ in range(4))
-    cv = 1.0 - va
-    _fill_logs(ua, va, cv, L1, L2)
+    # contiguous operands of one shape: the kernel's elementwise arithmetic, bit for bit
+    shape = np.broadcast_shapes(ua.shape, va.shape)
+    ub, vb = (np.array(np.broadcast_to(x, shape), ndmin=1) for x in (ua, va))
+    out, a, b = (np.empty(ub.shape) for _ in range(3))
     with np.errstate(over="ignore"):
-        _k_from_logs(idx, ua, 1.0 - ua, va, cv, L1, L2, out, tmp)
-    if np.ndim(u) == 0 and np.ndim(v) == 0:
-        return float(out)
-    return out
+        _k_into(idx, ub, 1.0 - ub, vb, 1.0 - vb, ub - vb, out, a, b)
+    return out if shape else float(out[0])
 
 
 _thread_slot = threading.local()
 
 
 def _workspace(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """This thread's (uu, 1-uu, vv, 1-vv, L1, L2, out, tmp), loaded with ``values``."""
+    """This thread's (uu, 1-uu, vv, 1-vv, d, out, a, b), loaded with ``values``."""
     n = values.size
     ws = getattr(_thread_slot, "ws", None)
     if ws is None or ws[0].size != 2 * n - 2:
         uu = np.tile(np.arange(1, n, dtype=np.float64) / n, 2)
         ws = _thread_slot.ws = (uu, 1.0 - uu, *(np.empty(2 * n - 2) for _ in range(6)))
-    uu, _, vv, cv, L1, L2, _, _ = ws
+    uu, _, vv, cv, d, _, _, _ = ws
     vv[: n - 1], vv[n - 1 :] = values[:-1], values[1:]
     np.subtract(1.0, vv, out=cv)
-    _fill_logs(uu, vv, cv, L1, L2)
+    np.subtract(uu, vv, out=d)
     return ws
+
+
+_HC, _NEYMAN = PhiIndex(2.0), PhiIndex(-1.0)
+
+
+def _k_at(pos: np.ndarray, ws, limits: list[PhiIndex]) -> np.ndarray:
+    """Rows K_s, one per s in ``limits`` (log forms), at candidate positions
+    ``pos``: one gather, one log fill."""
+    cols = [x[pos] for x in ws[:5]]
+    a, b = np.empty(pos.size), np.empty(pos.size)
+    ks = np.empty((len(limits), pos.size))
+    for j, idx in enumerate(limits):
+        _k_into(idx, *cols, ks[j], a, b, logs=j > 0)
+    return ks
+
+
+def _screened(ws, limits: list[PhiIndex]):
+    """K_s for s in the LIMIT_S0/S1 regimes on the candidates that can reach its max.
+
+    Returns the kept positions, the rows K_s on them (one per s in ``limits``)
+    and the maxima of K_2 and K_-1, which the screen computes in full anyway.
+
+    B = max(K_2, K_-1) bounds K_0 and K_1, and t, the smallest over ``limits``
+    of the larger K_s at the argmaxes of K_2 and K_-1, bounds each maximum from
+    below.  A candidate with B < t is dropped only with a margin that covers
+    rounding: 1e-9 relative, plus 1e-14*sqrt(t) for the log form's absolute
+    error (a few ulps of 2|d| + 2B, with |d| <= sqrt(B/2)), which matters only
+    for near-tied samples.  So the max, and its first position, are exact.
+    """
+    uu, cu, vv, cv, d, out, a, b = ws
+    k2 = _k_into(_HC, *ws)
+    kn = _k_into(_NEYMAN, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
+    top = np.array([k2.argmax(), kn.argmax()])
+    maxima = {_HC: k2[top[0]], _NEYMAN: kn[top[1]]}
+    bound = np.maximum(k2, kn, out=out)
+    t = max(float(_k_at(top, ws, limits).max(axis=1).min()), 0.0)
+    keep = bound >= t - 1e-9 * t - 1e-14 * math.sqrt(t)
+    keep[top] = True  # t came from them, even where rounding lifts K_s above B
+    kept = np.flatnonzero(keep)
+    return kept, _k_at(kept, ws, limits), maxima
 
 
 def _sup_values_raw(values: np.ndarray, s_list) -> np.ndarray:
     """S_n(s) for several s on one pre-sorted array (no metadata, no checks).
 
-    The candidate logs are computed once and shared across all s; this is the
-    fast path the Monte-Carlo table builder runs millions of times.
+    ``d`` is computed once and shared across all s, and s = 0 and s = 1 share
+    one screen, which also yields S_n(2) and S_n(-1); this is the fast path the
+    Monte-Carlo table builder runs millions of times.
     """
     ws = _workspace(values)
-    out = np.empty(len(s_list), dtype=np.float64)
-    for j, s in enumerate(s_list):
-        out[j] = _k_from_logs(_as_index(s), *ws).max()
+    idxs = [_as_index(s) for s in s_list]
+    limits = [idx for idx in idxs if idx.regime is not Regime.GENERIC]
+    known = {}
+    if limits:
+        _, ks, known = _screened(ws, limits)
+        known.update(zip(limits, ks.max(axis=1)))
+    out = np.empty(len(idxs), dtype=np.float64)
+    for j, idx in enumerate(idxs):
+        out[j] = known[idx] if idx in known else _k_into(idx, *ws).max()
     return out
 
 
@@ -264,18 +340,19 @@ def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> Divergence
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     idx = _as_index(s)
+    ws = _workspace(sample.values)
     with np.errstate(over="ignore"):
-        k = _k_from_logs(idx, *_workspace(sample.values))
+        if idx.regime is Regime.GENERIC:
+            kept, k = None, _k_into(idx, *ws)
+        else:
+            kept, (k,), _ = _screened(ws, [idx])
+    # candidates are ordered left endpoints, then right: the first maximum wins
+    p = int(np.argmax(k))
+    pos = p if kept is None else int(kept[p])
     m = sample.n - 1
-    kl, kr = k[:m], k[m:]
-    il = int(np.argmax(kl))
-    ir = int(np.argmax(kr))
-    if kl[il] >= kr[ir]:
-        value, rank, side = kl[il], il + 1, EndpointSide.LEFT
-    else:
-        value, rank, side = kr[ir], ir + 1, EndpointSide.RIGHT
+    rank, side = (pos + 1, EndpointSide.LEFT) if pos < m else (pos - m + 1, EndpointSide.RIGHT)
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
-    value = max(float(value), 0.0) + 0.0
+    value = max(float(k[p]), 0.0) + 0.0
     return DivergenceStatistic(index=idx, value=value, argmax_index=rank, argmax_side=side)
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rand import RNG_ID, replicate_rng, uniform_open
-from .divergence import _sup_values_raw
+from .divergence import PhiIndex, _sup_values_raw
 from .errors import CacheCorruptionError, DomainError
 
 __all__ = [
@@ -93,7 +93,7 @@ def gumbel_quantile(p) -> float | np.ndarray:
 
 
 #: On-disk format version for calibration tables.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +130,12 @@ def _null_stats_block(n: int, s_list: list[float], seed: int, start: int, stop: 
     """Statistics for replicates [start, stop) — position-independent by the
     substream contract, so any chunking across workers yields the same rows."""
     rn = centering_offset(n)
+    idxs = [PhiIndex(s) for s in s_list]
     out = np.empty((len(s_list), stop - start), dtype=np.float64)
     for k, rep in enumerate(range(start, stop)):
         u = uniform_open(replicate_rng(seed, rep), n)
         u.sort()
-        out[:, k] = n * _sup_values_raw(u, s_list) - rn
+        out[:, k] = n * _sup_values_raw(u, idxs) - rn
     return out
 
 
@@ -243,6 +244,10 @@ def cache_path(cache_dir, n: int, s: float, reps: int, seed: int,
     return Path(cache_dir) / f"calibration-{_key_digest(n, s, reps, seed, rng_id, version)}.json"
 
 
+def _stats_digest(sorted_stats: np.ndarray) -> str:
+    return sha256(sorted_stats.tobytes()).hexdigest()
+
+
 def cache_store(table: CalibrationTable, cache_dir) -> Path:
     """Persist a table; atomic (write-then-rename), returns the file path."""
     path = cache_path(cache_dir, table.n, table.s, table.reps, table.seed,
@@ -255,6 +260,7 @@ def cache_store(table: CalibrationTable, cache_dir) -> Path:
         "seed": table.seed,
         "rng_id": table.rng_id,
         "sorted_stats": table.sorted_stats.tolist(),
+        "sha256": _stats_digest(table.sorted_stats),
     }
     return atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -262,8 +268,9 @@ def cache_store(table: CalibrationTable, cache_dir) -> Path:
 def cache_load(cache_dir, n: int, s: float, reps: int, seed: int) -> CalibrationTable | None:
     """Load a table if present for exactly this key; None when absent.
 
-    A file that exists but cannot be parsed/validated raises
-    :class:`CacheCorruptionError` — corrupted data is reported, never used.
+    A file that exists but cannot be parsed/validated, or whose statistics do
+    not match their stored sha256, raises :class:`CacheCorruptionError` —
+    corrupted data is reported, never used.
     A readable file whose embedded key or version disagrees with the request
     counts as absent (it belongs to some other recipe).
     """
@@ -277,7 +284,7 @@ def cache_load(cache_dir, n: int, s: float, reps: int, seed: int) -> Calibration
         raise CacheCorruptionError(f"unparseable calibration cache file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CacheCorruptionError(f"calibration cache file {path} is not a JSON object")
-    expected_keys = {"version", "n", "s", "reps", "seed", "rng_id", "sorted_stats"}
+    expected_keys = {"version", "n", "s", "reps", "seed", "rng_id", "sorted_stats", "sha256"}
     if not expected_keys.issubset(doc):
         raise CacheCorruptionError(
             f"calibration cache file {path} is missing fields {sorted(expected_keys - set(doc))}"
@@ -298,14 +305,20 @@ def cache_load(cache_dir, n: int, s: float, reps: int, seed: int) -> Calibration
         )
     except (DomainError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"invalid statistics in cache file {path}: {exc}") from exc
+    if _stats_digest(table.sorted_stats) != doc["sha256"]:
+        raise CacheCorruptionError(f"statistics in cache file {path} do not match their sha256")
     return table
 
 
 def ensure_tables(cache_dir, n: int, s_values, reps: int, seed: int,
                   *, workers: int = 1) -> dict[float, CalibrationTable]:
     """Load-or-build tables for several s, building all missing ones in one
-    pass over shared uniform draws (much cheaper than per-s builds)."""
-    s_list = [float(s) for s in s_values]
+    pass over shared uniform draws (much cheaper than per-s builds).
+
+    Each distinct s is loaded or built once: -0.0 counts as 0.0 (+ 0.0), so
+    it keys the same file, and repeats are dropped.
+    """
+    s_list = list(dict.fromkeys(float(s) + 0.0 for s in s_values))
     found = {s: cache_load(cache_dir, n, s, reps, seed) for s in s_list}
     missing = [s for s in s_list if found[s] is None]
     if missing:

@@ -3,6 +3,8 @@ import math
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,16 +14,20 @@ from hypothesis import strategies as st
 from phidetect import (
     DomainError,
     EndpointSide,
+    MixtureSpec,
     PhiIndex,
     Regime,
     SortedPValueSample,
     kappa,
+    mixture_family,
     phi,
     replicate_rng,
+    sample_mixture,
     scaled_statistic,
     scaled_statistics,
     sup_statistic,
     sup_statistic_values,
+    to_pvalues,
     uniform_open,
     z_sup,
 )
@@ -220,6 +226,63 @@ def test_kappa_small_gap_relative_accuracy():
         assert got == pytest.approx(d * d / (2.0 * 0.25), rel=1e-4)
 
 
+# (u, v) at the edges of the double range: the p-value floor 1e-300 that
+# to_pvalues clamps to, the largest double below 1, and near-equal pairs
+EXTREME_UV = [
+    (0.5, 1e-300),
+    (0.25, 1e-300),
+    (1e-300, 0.5),
+    (0.75, 1.0 - 2.0**-53),
+    (1.0 - 2.0**-53, 0.25),
+    (2.0**-53, 0.9),
+    (1e-3, 0.3),
+    (0.3, 0.3 + 2.0**-40),
+    (0.999, 0.998),
+]
+
+
+def _exact_half_chi2(u: Fraction, v: Fraction, w: Fraction) -> Fraction:
+    return (u - v) ** 2 / (2 * w * (1 - w))
+
+
+def _hellinger_50_digits(u: float, v: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        du, dv = Decimal(u), Decimal(v)  # exact binary values
+        one = Decimal(1)
+        return 2 * ((du.sqrt() - dv.sqrt()) ** 2 + ((one - du).sqrt() - (one - dv).sqrt()) ** 2)
+
+
+def test_closed_forms_match_exact_references_at_extremes():
+    # s=2 and s=-1 against exact rationals, s=1/2 against 50-digit decimals
+    for u, v in EXTREME_UV:
+        fu, fv = Fraction(u), Fraction(v)
+        for s, w in ((2.0, fv), (-1.0, fu)):
+            want = _exact_half_chi2(fu, fv, w)
+            got = kappa(s, u, v)
+            assert math.isfinite(got), (s, u, v)
+            assert abs(Fraction(got) - want) <= Fraction(2e-15) * want, (s, u, v)
+        want = _hellinger_50_digits(u, v)
+        got = Decimal(kappa(0.5, u, v))
+        assert abs(got - want) <= Decimal(2e-15) * want, (u, v)
+
+
+def test_higher_criticism_is_finite_at_the_pvalue_floor():
+    # the expm1 form overflowed to inf here; the true value is about 1.25e299
+    assert kappa(2.0, 0.5, 1e-300) == pytest.approx(1.25e299, rel=2e-15)
+    values = [1e-300, 0.3, 0.6, 0.9]
+    n = len(values)
+    want = max(
+        _exact_half_chi2(Fraction(i, n), Fraction(x), Fraction(x))
+        for i in range(1, n)
+        for x in (values[i - 1], values[i])
+    )
+    st = sup_statistic(SortedPValueSample(np.array(values)), 2.0)
+    assert math.isfinite(st.value)
+    assert abs(Fraction(st.value) - want) <= Fraction(2e-15) * want
+    assert (st.argmax_index, st.argmax_side) == (1, EndpointSide.LEFT)
+
+
 # --------------------------------------------------------------------------
 # sup statistic
 
@@ -361,6 +424,46 @@ def test_multi_s_matches_single(rng=np.random.default_rng(515)):
         np.testing.assert_array_equal(batch, np.asarray(singles))
 
 
+SCREENED_S = (0.0, 5e-9, 1.0, 1.0 + 5e-9)
+
+
+def _screen_samples():
+    """Uniform, tied, floor-clamped and normal-sparse samples, and near-tied
+    pairs around 1/2 (where the log forms' rounding exceeds the s = 0, 1 bound)."""
+    for n in (2, 3, 50, 1000, 100_000):
+        yield np.sort(uniform_open(replicate_rng(31, n), n))
+        half = uniform_open(replicate_rng(32, n), (n + 1) // 2)
+        yield np.sort(np.concatenate([half, half]))[:n]
+        floor = np.sort(uniform_open(replicate_rng(33, n), n))
+        floor[: max(1, n // 20)] = 1e-300
+        floor[-max(1, n // 20):] = 1.0 - 2.0**-53
+        yield np.sort(floor)
+        spec = MixtureSpec(mixture_family("normal"), 0.6, 0.5, n)
+        yield to_pvalues(sample_mixture(spec, replicate_rng(34, n))[0], spec.noise).values
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        delta = 10.0 ** rng.uniform(-14, -7)
+        yield np.array([0.5 - delta, 0.5 + delta * (1.0 + 10.0 ** rng.uniform(-8, -2))])
+
+
+def test_screened_berk_jones_max_equals_the_full_candidate_max():
+    for values in _screen_samples():
+        n = values.size
+        sample = SortedPValueSample(values)
+        uu = np.tile(np.arange(1, n) / n, 2)
+        vv = np.concatenate([values[:-1], values[1:]])
+        got = sup_statistic_values(sample, SCREENED_S)
+        for s, g in zip(SCREENED_S, got):
+            k = kappa(s, uu, vv)
+            want = max(float(k.max()), 0.0) + 0.0
+            assert g == want, (n, s, values[:2])
+            pos = int(np.argmax(k))
+            st = sup_statistic(sample, s)
+            assert (st.value, st.argmax_index, st.argmax_side) == (
+                want, pos % (n - 1) + 1, EndpointSide.LEFT if pos < n - 1 else EndpointSide.RIGHT
+            ), (n, s, values[:2])
+
+
 def _brute_force_sup(values: np.ndarray, s: float, points_per_interval: int = 4097) -> float:
     """Textbook-formula grid maximization, written as an independent oracle.
 
@@ -436,8 +539,9 @@ def test_higher_criticism_identity():
 def test_kernel_outputs_are_pinned():
     """Digest of sup_statistic triples, sup_statistic_values and a kappa grid.
 
-    Pinned before the K_s regime switch was merged into one helper; covers
-    every regime, including s within S_REGIME_TOL of 0 and 1.
+    Covers every regime, including s within S_REGIME_TOL of 0 and 1.  Re-pinned
+    when s = 2, -1 and 1/2 moved to their algebraic closed forms (last-bit
+    changes only; the s = 0 and s = 1 statistics stayed bit-identical).
     """
     s_values = (-1.0, 0.0, 5e-9, 0.5, 1.0, 1.0 + 5e-9, 2.0, 3.0)
     h = hashlib.sha256()
@@ -453,4 +557,4 @@ def test_kernel_outputs_are_pinned():
     g = np.arange(1, 100) / 100.0
     for s in s_values:
         h.update(kappa(s, g[:, None], g[None, :]).tobytes())
-    assert h.hexdigest() == "3a5f5b91757654bf9966d9be1b2251a2c8da63408d369837820a84689a986d6c"
+    assert h.hexdigest() == "16309991c6a03240f6089565cd5e84caabe990d58a4692c4a89c053e9c0c9aaf"

@@ -21,6 +21,7 @@ from phidetect import (
     gumbel_quantile,
     mc_null_tables,
 )
+import phidetect.nulldist as nulldist
 from phidetect.nulldist import CACHE_VERSION, critical_from_sorted, pvalue_from_sorted
 
 # centering sequence r_n = loglog n + (1/2) logloglog n - (1/2) log(4 pi),
@@ -240,6 +241,18 @@ def test_cache_embedded_version_mismatch_is_absent(tmp_path):
     assert cache_load(tmp_path, 40, 1.0, 110, 909) is None
 
 
+def test_cache_hand_edited_sorted_entry_is_corruption(tmp_path):
+    table = mc_null_tables(40, [1.0], 110, 909)[0]
+    path = cache_store(table, tmp_path)
+    doc = json.loads(path.read_text())
+    stats = doc["sorted_stats"]
+    stats[50] = 0.5 * (stats[49] + stats[50])  # still sorted, still finite
+    assert stats != table.sorted_stats.tolist() and stats == sorted(stats)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheCorruptionError):
+        cache_load(tmp_path, 40, 1.0, 110, 909)
+
+
 def test_ensure_table_builds_then_hits(tmp_path):
     t1 = ensure_tables(tmp_path, 30, [2.0], 100, 5)[2.0]
     path = cache_path(tmp_path, 30, 2.0, 100, 5)
@@ -257,6 +270,18 @@ def test_ensure_tables_batch(tmp_path):
         assert got[s].equals(again[s])
 
 
+def test_ensure_tables_builds_each_distinct_s_once(tmp_path, monkeypatch):
+    stored = []
+    real_store = nulldist.cache_store
+    monkeypatch.setattr(nulldist, "cache_store",
+                        lambda table, d: stored.append(table.s) or real_store(table, d))
+    got = ensure_tables(tmp_path / "a", 30, [2.0, 2.0], 100, 5)
+    assert stored == [2.0] and list(got) == [2.0]
+    got = ensure_tables(tmp_path / "b", 30, [0.0, -0.0], 100, 5)
+    assert len(list((tmp_path / "b").iterdir())) == 1
+    assert got[-0.0] is got[0.0]
+
+
 def test_stats_roundtrip_exactly_through_json(tmp_path):
     table = mc_null_tables(25, [0.5], 100, 321)[0]
     cache_store(table, tmp_path)
@@ -264,25 +289,26 @@ def test_stats_roundtrip_exactly_through_json(tmp_path):
     np.testing.assert_array_equal(loaded.sorted_stats, table.sorted_stats)
 
 
-# Bytes of cached tables, pinned before any kernel refactor.  A change to the
-# kernel, the draws or the file format that alters them must bump
-# CACHE_VERSION (and RNG_ID if the draws change) and re-pin these digests.
+# Bytes of cached tables.  A change to the kernel, the draws or the file format
+# that alters them must bump CACHE_VERSION (and RNG_ID if the draws change) and
+# re-pin these digests.  Re-pinned at CACHE_VERSION 2: closed forms for
+# s = 2, -1, 1/2 and a sha256 of the statistics in each file.
 PINNED_TABLE_SHA256 = {
-    (50, -1.0): "2a64c3373d4462bdc2a80d36eae8939603226c06ecb4972c5c514e75a1727ddd",
-    (50, 0.0): "eb5792b814c405fe1ee79a0b479ab9d1bf78d390758012e0d1401ab55253fbc6",
-    (50, 0.5): "c7bfa9451885ecf73c7a94a13670b07d1e40da47c9bcc7750f1b720f72bcab5c",
-    (50, 1.0): "e4ee103ab94ffca4627c9b78ddd2a163ab0ffd1b84eb3bbeeaf207f3ccf00d6e",
-    (50, 2.0): "54ec8db476c2c9fb5c2ad430e40943588d5240051b2dbacc78f2b3fecab66ac2",
-    (2000, -1.0): "89e42e7f55ec994485f1d4ee7147ac7307d8a6ebbc6f71a31305d65dd8d97319",
-    (2000, 0.0): "93674aa77f7965ff524ff223748a76512c0baf61e392bd388f6e63871e7452b5",
-    (2000, 0.5): "a253b633cca2a97c98aef10b3a548ffa51be8cc68b374f5ad510b8d930c19a62",
-    (2000, 1.0): "49ccb548dd09d03af2ae40fd91271acd1ad53f20825fac2ba56afc96a2b8fdf7",
-    (2000, 2.0): "a6bead611860b43174762c6396578e9fe856ee1a877cd5d3074593686ab1c0ab",
+    (50, -1.0): "85fc75f39130ca3bb105867419ddb18f9595a55529899f37453150b738072fbf",
+    (50, 0.0): "582e0033c0b9dd24f891d2b48cebcd30ca15be87eaef4b7c76a7ea6cf72e5ae7",
+    (50, 0.5): "1fcaab3f38ae06a513251714acd98eb88331f2c7c1fc9c0928b76c24939981ea",
+    (50, 1.0): "f97c413c9750d627fa544a43087272a4e96127d5a98df857a680d7b74fefcc0c",
+    (50, 2.0): "ee6a01c5d0f38810fd2b9d03631c06423e126c4e405431686561d932496cc549",
+    (2000, -1.0): "22253b30e626940b199f3b9c6cc469adeadddce748b0e70fb22d12b4ceb107c8",
+    (2000, 0.0): "ce03d350f8c8ebf93dfdafe5e152c964f6f1500d8bf01a803b48c6acf02baf98",
+    (2000, 0.5): "50d5ae524556dd09e6da02ed420c76367f9634a5f1faeec27bd0c5330257565a",
+    (2000, 1.0): "d84b01039a3bd4b25a322ee222e6e962fe8cdfcc562a3516636bce3e8fc1eb63",
+    (2000, 2.0): "c7f48340c99e1a3e0f024b610bd3c4206101aa6e9c21c20ce3e207320769b53d",
 }
 
 
 def test_cached_table_bytes_are_pinned(tmp_path):
-    assert (CACHE_VERSION, RNG_ID) == (1, "philox4x64-counter128-v1")
+    assert (CACHE_VERSION, RNG_ID) == (2, "philox4x64-counter128-v1")
     got = {}
     for n in (50, 2000):
         for table in mc_null_tables(n, (-1.0, 0.0, 0.5, 1.0, 2.0), 200, 20260):
