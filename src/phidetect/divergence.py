@@ -56,6 +56,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,7 @@ class PhiIndex:
             raise DomainError(f"divergence parameter must be finite, got {self.s!r}")
         object.__setattr__(self, "s", s)
 
-    @property
+    @cached_property
     def regime(self) -> Regime:
         if abs(self.s) < S_REGIME_TOL:
             return Regime.LIMIT_S0
@@ -275,18 +276,18 @@ def _k_at(pos: np.ndarray, ws, limits: list[PhiIndex]) -> np.ndarray:
     """Rows K_s, one per s in ``limits`` (log forms), at candidate positions
     ``pos``: one gather, one log fill."""
     cols = [x[pos] for x in ws[:5]]
-    a, b = np.empty(pos.size), np.empty(pos.size)
-    ks = np.empty((len(limits), pos.size))
+    a, b, *ks = rows = np.empty((2 + len(limits), pos.size))
     for j, idx in enumerate(limits):
         _k_into(idx, *cols, ks[j], a, b, logs=j > 0)
-    return ks
+    return rows[2:]
 
 
 def _screened(ws, limits: list[PhiIndex]):
     """K_s for s in the LIMIT_S0/S1 regimes on the candidates that can reach its max.
 
     Returns the kept positions, the rows K_s on them (one per s in ``limits``)
-    and the maxima of K_2 and K_-1, which the screen computes in full anyway.
+    and the maxima of K_2 and K_-1 keyed by s, which the screen computes in
+    full anyway.
 
     B = max(K_2, K_-1) bounds K_0 and K_1, and t, the smallest over ``limits``
     of the larger K_s at the argmaxes of K_2 and K_-1, bounds each maximum from
@@ -299,12 +300,12 @@ def _screened(ws, limits: list[PhiIndex]):
     k2 = _k_into(_HC, *ws)
     kn = _k_into(_NEYMAN, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
     top = np.array([k2.argmax(), kn.argmax()])
-    maxima = {_HC: k2[top[0]], _NEYMAN: kn[top[1]]}
+    maxima = {2.0: k2[top[0]], -1.0: kn[top[1]]}
     bound = np.maximum(k2, kn, out=out)
     t = max(float(_k_at(top, ws, limits).max(axis=1).min()), 0.0)
     keep = bound >= t - 1e-9 * t - 1e-14 * math.sqrt(t)
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
-    kept = np.flatnonzero(keep)
+    (kept,) = keep.nonzero()
     return kept, _k_at(kept, ws, limits), maxima
 
 
@@ -321,10 +322,10 @@ def _sup_values_raw(values: np.ndarray, s_list) -> np.ndarray:
     known = {}
     if limits:
         _, ks, known = _screened(ws, limits)
-        known.update(zip(limits, ks.max(axis=1)))
+        known.update(zip((idx.s for idx in limits), ks.max(axis=1)))
     out = np.empty(len(idxs), dtype=np.float64)
     for j, idx in enumerate(idxs):
-        out[j] = known[idx] if idx in known else _k_into(idx, *ws).max()
+        out[j] = known[idx.s] if idx.s in known else _k_into(idx, *ws).max()
     return out
 
 
