@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -56,3 +57,12 @@ def stable_seed(*parts: int | float | str) -> int:
     blob = json.dumps(canon, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _pool_map(fn, workers: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, over ``workers`` processes when > 1; the
+    one process pool in the package.  Results keep input order either way."""
+    if workers <= 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))

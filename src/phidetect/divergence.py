@@ -42,6 +42,10 @@ d**2 / (2 min(u(1-u), v(1-v))) = max(K_2, K_-1).  Their maxima therefore need
 the logs only on the few candidates whose bound reaches an exact K_s value
 (see ``_screened``); the result is bit-identical to a full pass.
 
+``_sup`` is the one path from a sample to S_n(s), shared by the statistics and
+the null-table builder.  Overflow (K_s = inf near p = 0) is silenced by
+``np.errstate`` in ``sup_statistic`` and ``sup_statistic_values`` only.
+
 Workspace: the candidates live in reused length-2(n-1) buffers, no concatenation:
 the left half holds the left endpoints (i/n, X_{i:n}), the right half the right
 endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and ``1-uu`` are built once per
@@ -195,9 +199,9 @@ def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) ->
     evaluation in the package goes through it.  ``a`` and ``b`` are scratch.
     The log forms first fill them with L1 = log(u/v), L2 = log((1-u)/(1-v)),
     unless ``logs`` says they hold them already; s = 0 and s = 1 leave them
-    intact, so one fill serves both.  Callers that can overflow (p-values near
-    0) silence it themselves, so the table builder's inner loop pays for no
-    ``errstate``.
+    intact, so one fill serves both.  Samples reach it only through ``_sup``,
+    whose public wrappers (like ``kappa``) silence overflow, so the table
+    builder's inner loop pays for no ``errstate``.
     """
     sv = idx.s
     if sv == 2.0 or sv == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
@@ -286,8 +290,8 @@ def _screened(ws, limits: list[PhiIndex]):
     """K_s for s in the LIMIT_S0/S1 regimes on the candidates that can reach its max.
 
     Returns the kept positions, the rows K_s on them (one per s in ``limits``)
-    and the maxima of K_2 and K_-1 keyed by s, which the screen computes in
-    full anyway.
+    and the (maximum, first position) of K_2 and K_-1 keyed by s, which the
+    screen computes in full anyway.
 
     B = max(K_2, K_-1) bounds K_0 and K_1, and t, the smallest over ``limits``
     of the larger K_s at the argmaxes of K_2 and K_-1, bounds each maximum from
@@ -300,33 +304,36 @@ def _screened(ws, limits: list[PhiIndex]):
     k2 = _k_into(_HC, *ws)
     kn = _k_into(_NEYMAN, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
     top = np.array([k2.argmax(), kn.argmax()])
-    maxima = {2.0: k2[top[0]], -1.0: kn[top[1]]}
+    best = {2.0: (k2[top[0]], top[0]), -1.0: (kn[top[1]], top[1])}
     bound = np.maximum(k2, kn, out=out)
     t = max(float(_k_at(top, ws, limits).max(axis=1).min()), 0.0)
     keep = bound >= t - 1e-9 * t - 1e-14 * math.sqrt(t)
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
     (kept,) = keep.nonzero()
-    return kept, _k_at(kept, ws, limits), maxima
+    return kept, _k_at(kept, ws, limits), best
 
 
-def _sup_values_raw(values: np.ndarray, s_list) -> np.ndarray:
-    """S_n(s) for several s on one pre-sorted array (no metadata, no checks).
-
-    ``d`` is computed once and shared across all s, and s = 0 and s = 1 share
-    one screen, which also yields S_n(2) and S_n(-1); this is the fast path the
-    Monte-Carlo table builder runs millions of times.
+def _sup(values: np.ndarray, idxs: list[PhiIndex]) -> tuple[np.ndarray, list[int]]:
+    """S_n(s) for each s in ``idxs`` on one sorted array, and the first candidate
+    position of each maximum: the one choice of full pass or screen.  ``d`` is
+    shared across all s; s = 0 and s = 1 share one screen, which also yields
+    S_n(2) and S_n(-1).  No checks: the table builder runs it millions of times.
     """
     ws = _workspace(values)
-    idxs = [_as_index(s) for s in s_list]
     limits = [idx for idx in idxs if idx.regime is not Regime.GENERIC]
-    known = {}
+    best = {}
     if limits:
-        _, ks, known = _screened(ws, limits)
-        known.update(zip((idx.s for idx in limits), ks.max(axis=1)))
-    out = np.empty(len(idxs), dtype=np.float64)
-    for j, idx in enumerate(idxs):
-        out[j] = known[idx.s] if idx.s in known else _k_into(idx, *ws).max()
-    return out
+        kept, ks, best = _screened(ws, limits)
+        firsts = ks.argmax(axis=1)
+        best.update((idx.s, (k[p], kept[p])) for idx, k, p in zip(limits, ks, firsts))
+    for idx in idxs:
+        if idx.s not in best:
+            k = _k_into(idx, *ws)
+            p = k.argmax()
+            best[idx.s] = (k[p], p)
+    # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
+    maxima = np.array([max(best[idx.s][0], 0.0) + 0.0 for idx in idxs])
+    return maxima, [int(best[idx.s][1]) for idx in idxs]
 
 
 def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> DivergenceStatistic:
@@ -341,27 +348,19 @@ def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> Divergence
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     idx = _as_index(s)
-    ws = _workspace(sample.values)
     with np.errstate(over="ignore"):
-        if idx.regime is Regime.GENERIC:
-            kept, k = None, _k_into(idx, *ws)
-        else:
-            kept, (k,), _ = _screened(ws, [idx])
-    # candidates are ordered left endpoints, then right: the first maximum wins
-    p = int(np.argmax(k))
-    pos = p if kept is None else int(kept[p])
+        (value,), (pos,) = _sup(sample.values, [idx])
     m = sample.n - 1
     rank, side = (pos + 1, EndpointSide.LEFT) if pos < m else (pos - m + 1, EndpointSide.RIGHT)
-    # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
-    value = max(float(k[p]), 0.0) + 0.0
-    return DivergenceStatistic(index=idx, value=value, argmax_index=rank, argmax_side=side)
+    return DivergenceStatistic(index=idx, value=float(value), argmax_index=rank, argmax_side=side)
 
 
 def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
     """S_n(s) for several s at once (values only, shared candidate scan)."""
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
-    return np.maximum(_sup_values_raw(sample.values, list(s_values)), 0.0)
+    with np.errstate(over="ignore"):
+        return _sup(sample.values, [_as_index(s) for s in s_values])[0]
 
 
 def z_sup(sample: SortedPValueSample, a: float, b: float) -> float:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from ._rand import replicate_rng, stable_seed
+from ._rand import _pool_map, replicate_rng, stable_seed
 from .boundary import Verdict, classify
 from .divergence import SortedPValueSample, sup_statistic, sup_statistic_values
 from .errors import DomainError
@@ -289,10 +288,7 @@ def power_sweep(config: PowerGridConfig) -> list[PowerResult]:
         for s, table in tables.items():
             crit[(n, s)] = critical_from_sorted(table.sorted_stats, config.alpha)
     crits = [crit.get((n, s), math.nan) for _, _, s, n in coords]
-    if config.workers <= 1:
-        return [_run_cell(config, c, k) for c, k in zip(coords, crits)]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(_run_cell, itertools.repeat(config), coords, crits))
+    return _pool_map(_run_cell, config.workers, itertools.repeat(config), coords, crits)
 
 
 # --------------------------------------------------------------------------

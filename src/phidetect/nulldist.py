@@ -23,15 +23,15 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
-from ._rand import RNG_ID, replicate_rng, uniform_open
-from .divergence import PhiIndex, _sup_values_raw
+from ._rand import RNG_ID, _pool_map, replicate_rng, uniform_open
+from .divergence import PhiIndex, _sup
 from .errors import CacheCorruptionError, DomainError
 
 __all__ = [
@@ -117,6 +117,7 @@ class CalibrationTable:
         stats = stats.copy()
         stats.flags.writeable = False
         object.__setattr__(self, "sorted_stats", stats)
+        object.__setattr__(self, "s", float(self.s) + 0.0)  # as keyed: -0.0 -> 0.0, 2 -> 2.0
 
     def equals(self, other: "CalibrationTable") -> bool:
         return (
@@ -126,16 +127,16 @@ class CalibrationTable:
         )
 
 
-def _null_stats_block(n: int, s_list: list[float], seed: int, start: int, stop: int) -> np.ndarray:
-    """Statistics for replicates [start, stop) — position-independent by the
+def _null_stats_block(n: int, s_list: list[float], seed: int, reps: range) -> np.ndarray:
+    """Statistics for the replicates in ``reps`` — position-independent by the
     substream contract, so any chunking across workers yields the same rows."""
     rn = centering_offset(n)
     idxs = [PhiIndex(s) for s in s_list]
-    out = np.empty((len(s_list), stop - start), dtype=np.float64)
-    for k, rep in enumerate(range(start, stop)):
+    out = np.empty((len(s_list), len(reps)), dtype=np.float64)
+    for k, rep in enumerate(reps):
         u = uniform_open(replicate_rng(seed, rep), n)
         u.sort()
-        out[:, k] = n * _sup_values_raw(u, idxs) - rn
+        out[:, k] = n * _sup(u, idxs)[0] - rn
     return out
 
 
@@ -158,20 +159,11 @@ def mc_null_tables(
     if reps < 100:
         raise DomainError("mc_null_tables requires reps >= 100")
     s_list = [float(s) for s in s_values]
-    if workers <= 1:
-        stats = _null_stats_block(n, s_list, seed, 0, reps)
-    else:
-        chunk = max(1, -(-reps // (workers * 4)))
-        starts = list(range(0, reps, chunk))
-        stats = np.empty((len(s_list), reps), dtype=np.float64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_null_stats_block, n, s_list, seed, a, min(a + chunk, reps)): a
-                for a in starts
-            }
-            for fut, a in futures.items():
-                block = fut.result()
-                stats[:, a : a + block.shape[1]] = block
+    chunk = -(-reps // (max(workers, 1) * 4))
+    chunks = [range(a, min(a + chunk, reps)) for a in range(0, reps, chunk)]
+    stats = np.concatenate(
+        _pool_map(partial(_null_stats_block, n, s_list, seed), workers, chunks), axis=1
+    )
     return [
         CalibrationTable(
             n=n, s=s, reps=reps, seed=seed, rng_id=RNG_ID, sorted_stats=np.sort(stats[j])
@@ -231,7 +223,7 @@ def atomic_write_text(path, text: str) -> Path:
 
 def _key_digest(n: int, s: float, reps: int, seed: int, rng_id: str, version: int) -> str:
     blob = json.dumps(
-        {"n": n, "s": repr(float(s)), "reps": reps, "seed": seed,
+        {"n": n, "s": repr(float(s) + 0.0), "reps": reps, "seed": seed,
          "rng_id": rng_id, "version": version},
         sort_keys=True,
         separators=(",", ":"),

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -281,6 +282,16 @@ def test_higher_criticism_is_finite_at_the_pvalue_floor():
     assert math.isfinite(st.value)
     assert abs(Fraction(st.value) - want) <= Fraction(2e-15) * want
     assert (st.argmax_index, st.argmax_side) == (1, EndpointSide.LEFT)
+
+
+def test_overflow_at_the_pvalue_floor_is_inf_and_silent_on_every_route():
+    # K_3 at (1/4, 1e-300) is about 2.6e597: inf, with no overflow warning
+    sample = SortedPValueSample(np.array([1e-300, 0.3, 0.6, 0.9]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [sup_statistic(sample, 3.0).value, sup_statistic_values(sample, [3.0])[0],
+               scaled_statistics(sample, [3.0])[0]]
+    assert got == [math.inf] * 3
 
 
 # --------------------------------------------------------------------------
