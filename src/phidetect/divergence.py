@@ -199,8 +199,8 @@ def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) ->
     evaluation in the package goes through it.  ``a`` and ``b`` are scratch.
     The log forms first fill them with L1 = log(u/v), L2 = log((1-u)/(1-v)),
     unless ``logs`` says they hold them already; s = 0 and s = 1 leave them
-    intact, so one fill serves both.  Samples reach it only through ``_sup``,
-    whose public wrappers (like ``kappa``) silence overflow, so the table
+    intact, so one fill serves both.  Samples reach it only through ``_sup``;
+    its public wrappers, and ``kappa``, silence overflow, so the table
     builder's inner loop pays for no ``errstate``.
     """
     sv = idx.s
@@ -304,7 +304,7 @@ def _screened(ws, limits: list[PhiIndex]):
     k2 = _k_into(_HC, *ws)
     kn = _k_into(_NEYMAN, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
     top = np.array([k2.argmax(), kn.argmax()])
-    best = {2.0: (k2[top[0]], top[0]), -1.0: (kn[top[1]], top[1])}
+    best = {2.0: (k2.item(top[0]), top.item(0)), -1.0: (kn.item(top[1]), top.item(1))}
     bound = np.maximum(k2, kn, out=out)
     t = max(float(_k_at(top, ws, limits).max(axis=1).min()), 0.0)
     keep = bound >= t - 1e-9 * t - 1e-14 * math.sqrt(t)
@@ -313,7 +313,7 @@ def _screened(ws, limits: list[PhiIndex]):
     return kept, _k_at(kept, ws, limits), best
 
 
-def _sup(values: np.ndarray, idxs: list[PhiIndex]) -> tuple[np.ndarray, list[int]]:
+def _sup(values: np.ndarray, idxs: list[PhiIndex]) -> tuple[np.ndarray, tuple[int, ...]]:
     """S_n(s) for each s in ``idxs`` on one sorted array, and the first candidate
     position of each maximum: the one choice of full pass or screen.  ``d`` is
     shared across all s; s = 0 and s = 1 share one screen, which also yields
@@ -321,19 +321,20 @@ def _sup(values: np.ndarray, idxs: list[PhiIndex]) -> tuple[np.ndarray, list[int
     """
     ws = _workspace(values)
     limits = [idx for idx in idxs if idx.regime is not Regime.GENERIC]
-    best = {}
+    best = {}  # s -> (max K_s as a Python float, its first position)
     if limits:
         kept, ks, best = _screened(ws, limits)
-        firsts = ks.argmax(axis=1)
-        best.update((idx.s, (k[p], kept[p])) for idx, k, p in zip(limits, ks, firsts))
+        for idx, k in zip(limits, ks):
+            p = int(k.argmax())
+            best[idx.s] = (k.item(p), kept.item(p))
     for idx in idxs:
         if idx.s not in best:
             k = _k_into(idx, *ws)
-            p = k.argmax()
-            best[idx.s] = (k[p], p)
+            p = int(k.argmax())
+            best[idx.s] = (k.item(p), p)
+    vals, pos = zip(*[best[idx.s] for idx in idxs])
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
-    maxima = np.array([max(best[idx.s][0], 0.0) + 0.0 for idx in idxs])
-    return maxima, [int(best[idx.s][1]) for idx in idxs]
+    return np.array([max(v, 0.0) + 0.0 for v in vals]), pos
 
 
 def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> DivergenceStatistic:
