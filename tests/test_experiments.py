@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -30,7 +31,13 @@ from phidetect import (
 import phidetect.experiments as pexp
 import phidetect.nulldist as pnull
 from phidetect._rand import replicate_rng, stable_seed, uniform_open
-from phidetect.experiments import POWER_CSV_FIELDS, WILSON_Z_99, atomic_write_text, cell_seed
+from phidetect.experiments import (
+    POWER_CSV_FIELDS,
+    WILSON_Z_99,
+    atomic_write_text,
+    cell_seed,
+    power_csv,
+)
 from phidetect.nulldist import pvalue_from_sorted
 
 
@@ -288,6 +295,30 @@ def test_power_sweep_cells_never_read_the_cache(tmp_path, monkeypatch):
     res = power_sweep(cfg)
     assert all(r.error is None for r in res) and len(res) == 16
     assert len(loads) == len(cfg.n_values) * len(cfg.s_values)
+
+
+# sha256 of the power CSV of a small grid: normal sparse, scale-exponential
+# dense and location-gumbel sparse, the five s, n in {100, 1000}.  Rates sit
+# between 0.025 and 0.975, so a change to how cells draw their samples, or to
+# the statistic they compute, that moves any replicate across its critical
+# value changes the bytes.
+PINNED_POWER_CSV_SHA256 = "38d064176ae6d57aad5145dab81b759d5babfdcc5948008b9ea040594ed5a7ba"
+
+
+def test_power_csv_bytes_are_pinned(tmp_path):
+    common = dict(s_values=(-1.0, 0.0, 0.5, 1.0, 2.0), n_values=(100, 1000), alpha=0.1,
+                  reps=40, seed=20261018, cache_dir=str(tmp_path), table_reps=200)
+    configs = (
+        PowerGridConfig(family="normal", betas=(0.6,), rs=(0.3, 0.6), **common),
+        PowerGridConfig(family="scale-exponential", regime="dense", betas=(0.2,),
+                        rs=(0.1, 0.2), **common),
+        PowerGridConfig(family="location-gumbel", regime="sparse", betas=(0.6,),
+                        rs=(0.5, 0.9), **common),
+    )
+    results = [r for cfg in configs for r in power_sweep(cfg)]
+    assert len(results) == 60 and all(r.error is None for r in results)
+    text = power_csv(results)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_POWER_CSV_SHA256
 
 
 def test_power_result_invariant():
