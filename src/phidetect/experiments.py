@@ -5,7 +5,10 @@ statistic + Monte-Carlo calibration pipeline.  ``power_sweep`` drives grids
 of (beta, r, s, n) cells; each cell gets its own seed derived by a stable
 hash of the master seed and the cell coordinates, and every replicate uses
 an independent counter-based substream, so results are byte-identical for a
-given configuration regardless of worker count or execution order.
+given configuration regardless of worker count or execution order.  A cell
+draws each replicate on the p-value scale: the noise p-values are the open
+uniforms themselves and only signal points go through F_0, so its statistics
+match the public ``sample_mixture`` + ``to_pvalues`` route to about 1e-12.
 
 ``run_lr_test`` is the Neyman-Pearson benchmark in zero-threshold form
 (reject iff the posterior likelihood favours the mixture), the form whose
@@ -27,7 +30,7 @@ from ._rand import _pool_map, replicate_rng, stable_seed
 from .boundary import Verdict, classify
 from .divergence import SortedPValueSample, sup_statistic, sup_statistic_values
 from .errors import DomainError
-from .models import MixtureSpec, mixture_family, sample_mixture, to_pvalues
+from .models import MixtureSpec, _sample_pvalues, mixture_family, sample_mixture, to_pvalues
 from .nulldist import (
     CalibrationTable,
     atomic_write_text,
@@ -247,11 +250,8 @@ def _run_cell(config: PowerGridConfig, coords: tuple[float, float, float, int],
         fam = mixture_family(config.family, regime=config.regime,
                              **dict(config.family_params))
         spec = MixtureSpec(fam, beta, r, n, epsilon_override=config.epsilon_override)
-        rejects = 0
-        for j in range(config.reps):
-            rng = replicate_rng(seed, j)
-            data, _ = sample_mixture(spec, rng)
-            rejects += scaled_statistic(to_pvalues(data, spec.noise), s) > crit
+        rejects = sum(scaled_statistic(_sample_pvalues(spec, replicate_rng(seed, j)), s) > crit
+                      for j in range(config.reps))
     except Exception as exc:
         return PowerResult(
             config.family, beta, r, s, n, config.alpha, config.reps, seed,

@@ -64,10 +64,7 @@ __all__ = [
     "h_exponent",
 ]
 
-# p-values are kept strictly inside (0,1): in-support observations whose cdf
-# saturates in double precision are clamped to the open interval instead of
-# being rejected (exact 0/1 can only arise from out-of-support data, which
-# *is* rejected).
+# The clamp of in-support p-values into the open unit interval (see to_pvalues).
 _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
 
@@ -527,24 +524,51 @@ def mixture_family(name: str, *, regime: str | None = None, **params) -> Mixture
     return build(regime, **{k: float(v) for k, v in params.items()})
 
 
+def _draw(spec: MixtureSpec, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one stream layout of a mixture replicate: the membership mask
+    ``rng.random(n) < eps``, the n-k noise uniforms, then the k signal draws."""
+    mask = rng.random(spec.n) < spec.epsilon
+    k = int(np.count_nonzero(mask))
+    u = uniform_open(rng, spec.n - k)
+    return mask, u, spec.signal.sample(k, rng) if k else np.empty(0)
+
+
 def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:
     """Draw n observations from Q_n = (1-eps) P_0 + eps mu_n.
 
     ``seed`` is either an integer (replicate 0 of its stream is used) or a
     ``numpy.random.Generator``.  Returns (data, signal_count); the latent
     count is for diagnostics only and must never feed a test statistic.
-    Membership is i.i.d. per observation; data is ordered noise-positions
-    then signal-positions drawn via one shared uniform mask, so the joint law
-    is the exact mixture.
+    Membership is i.i.d. per observation (one uniform mask, see ``_draw``),
+    so the joint law is the exact mixture.
     """
     rng = seed if isinstance(seed, np.random.Generator) else replicate_rng(int(seed), 0)
-    n, eps = spec.n, spec.epsilon
-    mask = rng.random(n) < eps
-    k = int(mask.sum())
-    data = np.empty(n, dtype=np.float64)
-    data[~mask] = spec.noise.sample(n - k, rng)
-    data[mask] = spec.signal.sample(k, rng) if k else np.empty(0)
-    return data, k
+    mask, u, x = _draw(spec, rng)
+    data = np.empty(spec.n, dtype=np.float64)
+    data[~mask] = spec.noise.quantile(u)
+    data[mask] = x
+    return data, x.size
+
+
+def _sample_pvalues(spec: MixtureSpec, rng) -> SortedPValueSample:
+    """The sorted p-values of one ``_draw``: noise uniforms as drawn, signal via F_0."""
+    _, u, x = _draw(spec, rng)
+    p = np.concatenate((u, _pit(x, spec.noise)))
+    p.sort()
+    return SortedPValueSample(p)
+
+
+def _pit(x: np.ndarray, noise: Distribution) -> np.ndarray:
+    """F_0(x) clamped inside (0, 1); x outside the noise's open support is rejected."""
+    lo, hi = noise.support
+    ok = (x > lo) & (x < hi)
+    if not np.all(ok):
+        i = int(np.flatnonzero(~ok)[0])
+        raise DomainError(
+            f"observation {i} = {float(x[i])!r} outside the open support ({lo}, {hi}) "
+            f"of {noise.name}: its p-value would be exactly 0 or 1"
+        )
+    return np.clip(noise.cdf(x), _P_FLOOR, _P_CEIL)
 
 
 def to_pvalues(data, noise: Distribution) -> SortedPValueSample:
@@ -557,16 +581,7 @@ def to_pvalues(data, noise: Distribution) -> SortedPValueSample:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("data must be a nonempty 1-d array")
-    lo, hi = noise.support
-    ok = (x > lo) & (x < hi)
-    if not np.all(ok):
-        i = int(np.flatnonzero(~ok)[0])
-        raise DomainError(
-            f"observation {i} = {float(x[i])!r} outside the open support ({lo}, {hi}) "
-            f"of {noise.name}: its p-value would be exactly 0 or 1"
-        )
-    p = np.clip(noise.cdf(x), _P_FLOOR, _P_CEIL)
-    return SortedPValueSample(np.sort(p))
+    return SortedPValueSample(np.sort(_pit(x, noise)))
 
 
 def signal_cdf_transformed(spec: MixtureSpec, v):

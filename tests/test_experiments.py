@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,23 @@ def test_power_sweep_records_cell_failures(tmp_path):
     assert all(r.error is not None for r in res)
     assert "DomainError" in res[0].error
     assert math.isnan(res[0].rejection_rate)
+
+
+def test_power_cell_noise_never_leaves_the_pvalue_scale(tmp_path):
+    # Frechet(0.01) has F_0^{-1}(u) = (-log u)^{-100}, which overflows to inf
+    # for u near 1.  Noise p-values are drawn as open uniforms, so a pure-noise
+    # cell runs; only signal points go through the raw-data scale.
+    cfg = _smoke_config(tmp_path, family="scale-frechet", regime="sparse",
+                        family_params=(("shape", 0.01),), rs=(0.5,), n_values=(1000,),
+                        reps=20, table_reps=100, epsilon_override=0.0)
+    (cell,) = power_sweep(cfg)
+    assert cell.error is None and 0.0 <= cell.rejection_rate <= 1.0
+    # with signal points the overflow is still an error of the cell
+    for eps in (None, 1.0):
+        with np.errstate(over="ignore"):
+            (cell,) = power_sweep(replace(cfg, epsilon_override=eps))
+        assert cell.error.startswith("DomainError: observation ")
+        assert "= inf outside the open support" in cell.error
 
 
 def test_power_sweep_builds_no_table_for_a_family_it_cannot_build(tmp_path):

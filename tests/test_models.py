@@ -26,7 +26,8 @@ from phidetect import (
     signal_cdf_transformed,
     to_pvalues,
 )
-from phidetect.models import Distribution, MIXTURE_FAMILY_NAMES
+from phidetect import replicate_rng, sup_statistic_values, uniform_open
+from phidetect.models import _FAMILIES, Distribution, MIXTURE_FAMILY_NAMES, _sample_pvalues
 
 DISTS = [
     Uniform(),
@@ -301,6 +302,38 @@ def test_sample_mixture_accepts_generator():
     spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 200)
     data, k = sample_mixture(spec, np.random.default_rng(5))
     assert data.shape == (200,) and 0 <= k <= 200
+
+
+#: every registered (family, regime), with a non-default parameter where one is taken
+_PARAMS = {"heteroscedastic-normal": {"sigma0": 0.5}, "scale-frechet": {"shape": 2.0}}
+_FAMILY_REGIMES = [(name, regime) for name, (regimes, _, _) in _FAMILIES.items()
+                   for regime in regimes]
+
+
+@pytest.mark.parametrize("n", [2, 100, 10_000])
+@pytest.mark.parametrize("eps", [None, 0.0, 1.0])
+@pytest.mark.parametrize("name,regime", _FAMILY_REGIMES)
+def test_pvalue_draw_matches_the_raw_data_route(name, regime, eps, n):
+    """The power cells' p-value draw against ``to_pvalues(sample_mixture(...))``:
+    the same generator consumption, the same signal p-values, the noise
+    p-values exactly the open uniforms, and S_n equal to rounding."""
+    fam = mixture_family(name, regime=regime, **_PARAMS.get(name, {}))
+    beta = 0.6 if regime == "sparse" else 0.3
+    spec = MixtureSpec(fam, beta, 0.4, n, epsilon_override=eps)
+    five_s = (-1.0, 0.0, 0.5, 1.0, 2.0)
+    for j in range(3):
+        fast_rng, raw_rng, ref_rng = (replicate_rng(2026, j) for _ in range(3))
+        fast = _sample_pvalues(spec, fast_rng)
+        raw = to_pvalues(sample_mixture(spec, raw_rng)[0], spec.noise)
+        np.testing.assert_equal(fast_rng.bit_generator.state, raw_rng.bit_generator.state)
+        np.testing.assert_allclose(fast.values, raw.values, rtol=1e-12, atol=0.0)
+        # the documented layout: mask, then n-k noise uniforms, then k signal draws
+        k = int(np.count_nonzero(ref_rng.random(n) < spec.epsilon))
+        u = uniform_open(ref_rng, n - k)
+        signal = to_pvalues(spec.signal.sample(k, ref_rng), spec.noise).values if k else []
+        np.testing.assert_array_equal(fast.values, np.sort(np.concatenate((u, signal))))
+        np.testing.assert_allclose(sup_statistic_values(fast, five_s),
+                                   sup_statistic_values(raw, five_s), rtol=1e-11, atol=0.0)
 
 
 # --------------------------------------------------------------------------
