@@ -20,13 +20,15 @@ from phidetect import (
     h_exponent,
     location_gumbel_family,
     mixture_family,
+    replicate_rng,
     sample_mixture,
     scale_exponential_family,
     scale_frechet_family,
     signal_cdf_transformed,
+    sup_statistic_values,
     to_pvalues,
+    uniform_open,
 )
-from phidetect import replicate_rng, sup_statistic_values, uniform_open
 from phidetect.models import _FAMILIES, Distribution, MIXTURE_FAMILY_NAMES, _sample_pvalues
 
 DISTS = [
