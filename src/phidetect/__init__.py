@@ -30,7 +30,6 @@ from .nulldist import (
     centering,
     centering_offset,
     ensure_tables,
-    gumbel_cdf,
     gumbel_quantile,
     mc_null_tables,
 )
@@ -66,7 +65,6 @@ from .boundary import (
     classify,
     rho_dense,
     rho_normal_sparse,
-    superlevel_measure,
 )
 from .experiments import (
     BoundaryComparison,

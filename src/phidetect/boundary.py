@@ -27,8 +27,6 @@ __all__ = [
     "beta_sharp_expfam",
     "beta_sharp_from_gamma",
     "beta_sharp_from_alpha",
-    "superlevel_measure",
-    "default_t_domain",
     "Verdict",
     "RegimeClassification",
     "classify",
@@ -69,13 +67,6 @@ def beta_sharp_expfam(r: float, p: float) -> float:
     return (min(r * p, 1.0) + 1.0) / 2.0
 
 
-def default_t_domain(n: int, t_max: float = 10.0) -> tuple[float, float]:
-    """Default exponent domain [log 2 / log n, t_max] for finite-n thresholds."""
-    if n < 2:
-        raise DomainError("need n >= 2 for the t-domain lower cut")
-    return math.log(2.0) / math.log(n), float(t_max)
-
-
 def _grid_eval(fn: Callable, lo: float, hi: float, grid_points: int, what: str):
     if grid_points < 1_000:
         raise DomainError(f"{what} needs grid_points >= 1000, got {grid_points}")
@@ -111,18 +102,6 @@ def beta_sharp_from_alpha(
     t, a = _grid_eval(alpha_fn, x_min, x_max, grid_points, "beta_sharp_from_alpha")
     t2 = t * t
     return 0.5 + float(np.max(a - t2 + np.minimum(t2, 1.0) / 2.0))
-
-
-def superlevel_measure(
-    fn: Callable,
-    c: float,
-    domain: tuple[float, float],
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> float:
-    """Grid approximation of the Lebesgue measure of {t in domain: fn(t) >= c}."""
-    lo, hi = float(domain[0]), float(domain[1])
-    t, vals = _grid_eval(fn, lo, hi, grid_points, "superlevel_measure")
-    return float(np.mean(vals >= float(c)) * (hi - lo))
 
 
 class Verdict(enum.Enum):

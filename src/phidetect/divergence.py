@@ -34,13 +34,24 @@ is accurate to a few ulps everywhere, including v at the p-value floor 1e-300
 
 with the limits K_0 = -(v*L1 + (1-v)*L2) and K_1 = u*L1 + (1-u)*L2.  This
 stays accurate as u -> v (relative error O(eps/|d|) instead of O(eps/d**2)
-for the textbook form).
+for the textbook form).  Where e^(s*L1) overflows before the scaling by v
+(s > 1, v near the floor), v*expm1(s*L1) is recomputed as
+exp(s*log(u) + (1-s)*log(v)), so every K_s with s < 2 is finite at the floor.
 
-Screen for the Berk-Jones members s = 0, 1: K_1(u,v) = int_v^u (u-t)/(t(1-t)) dt
-(K_0 swaps u and v), and t(1-t) is concave, so both are at most
-d**2 / (2 min(u(1-u), v(1-v))) = max(K_2, K_-1).  Their maxima therefore need
-the logs only on the few candidates whose bound reaches an exact K_s value
-(see ``_screened``); the result is bit-identical to a full pass.
+Screen for every s in (-1, 2).  With c = (1-u)/(1-v), d/dv K_s(u, v) =
+(c**s - (u/v)**s)/s and K_s(u, u) = 0, so ::
+
+    K_s(u, v) = int_v^u int_b(t)^a(t) x**(s-1) dx dt,  a = u/t, b = (1-u)/(1-t).
+
+For v < u, t < u gives a > 1 > b; for v > u both integrals run backwards.
+Either way K_s is a positive mixture of x**(s-1) = e^((s-1) log x), which is
+convex in s, so s -> K_s(u, v) is convex, and for s = 2 - 3w with w in [0, 1]
+K_s <= w K_-1 + (1-w) K_2 <= max(K_2, K_-1) = B, with K_2 and K_-1 the closed
+forms above.  So the maxima of the s in (-1, 2) need K_s only on the few
+candidates whose bound reaches an exact K_s value (see ``_screened``); the
+result is bit-identical to a full pass.  Outside [-1, 2] the bound fails
+(K_s/B exceeds 1e5 at s = 2.5 and -1.5 for some (u, v) in (1e-12, 1)), so
+those s make a full pass.
 
 ``_sup`` is the one path from a sample to S_n(s), shared by the statistics and
 the null-table builder.  Overflow (K_s = inf near p = 0) is silenced by
@@ -197,11 +208,12 @@ def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) ->
 
     This is the only place the s-regime switch for K_s is written; every K_s
     evaluation in the package goes through it.  ``a`` and ``b`` are scratch.
-    The log forms first fill them with L1 = log(u/v), L2 = log((1-u)/(1-v)),
-    unless ``logs`` says they hold them already; s = 0 and s = 1 leave them
-    intact, so one fill serves both.  Samples reach it only through ``_sup``;
-    its public wrappers, and ``kappa``, silence overflow, so the table
-    builder's inner loop pays for no ``errstate``.
+    The log and expm1 forms first fill them with L1 = log(u/v),
+    L2 = log((1-u)/(1-v)), unless ``logs`` says they hold them already; s = 0
+    and s = 1 leave them intact, so one fill serves both and an expm1 form
+    after them.  Samples reach it only through ``_sup``; its public wrappers,
+    and ``kappa``, silence overflow, so the table builder's inner loop pays
+    for no ``errstate``.
     """
     sv = idx.s
     if sv == 2.0 or sv == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
@@ -229,6 +241,9 @@ def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) ->
         return out
     np.expm1(np.multiply(a, sv, out=out), out=out)
     out *= v
+    if out.max(initial=0.0) == math.inf:  # e^(s*L1) overflowed before the scaling by v:
+        big = out == math.inf  # there v*expm1(s*L1) = u^s v^(1-s) to within v
+        out[big] = np.exp(sv * np.log(u[big]) + (1.0 - sv) * np.log(v[big]))
     np.expm1(np.multiply(b, sv, out=b), out=b)
     b *= cv
     out += b
@@ -276,29 +291,43 @@ def _workspace(values: np.ndarray) -> tuple[np.ndarray, ...]:
 _HC, _NEYMAN = PhiIndex(2.0), PhiIndex(-1.0)
 
 
-def _k_at(pos: np.ndarray, ws, limits: list[PhiIndex]) -> np.ndarray:
-    """Rows K_s, one per s in ``limits`` (log forms), at candidate positions
-    ``pos``: one gather, one log fill."""
+def _k_at(pos: np.ndarray, ws, screened: list[PhiIndex]) -> np.ndarray:
+    """Rows K_s, one per s in ``screened``, at candidate positions ``pos``: one
+    gather.  Only a log form leaves the L1/L2 fill intact for the next row;
+    ``expm1`` overwrites ``b`` and s = 1/2 both, so ``_sup`` puts s = 0, 1 first."""
     cols = [x[pos] for x in ws[:5]]
-    a, b, *ks = rows = np.empty((2 + len(limits), pos.size))
-    for j, idx in enumerate(limits):
-        _k_into(idx, *cols, ks[j], a, b, logs=j > 0)
+    a, b, *ks = rows = np.empty((2 + len(screened), pos.size))
+    logs = False
+    for idx, k in zip(screened, ks):
+        _k_into(idx, *cols, k, a, b, logs=logs)
+        logs = idx.regime is not Regime.GENERIC
     return rows[2:]
 
 
-def _screened(ws, limits: list[PhiIndex]):
-    """K_s for s in the LIMIT_S0/S1 regimes on the candidates that can reach its max.
+def _screened(ws, screened: list[PhiIndex]):
+    """K_s for each s in ``screened`` (all in (-1, 2)) on the candidates that can
+    reach its max.
 
-    Returns the kept positions, the rows K_s on them (one per s in ``limits``)
+    Returns the kept positions, the rows K_s on them (one per s in ``screened``)
     and the (maximum, first position) of K_2 and K_-1 keyed by s, which the
     screen computes in full anyway.
 
-    B = max(K_2, K_-1) bounds K_0 and K_1, and t, the smallest over ``limits``
-    of the larger K_s at the argmaxes of K_2 and K_-1, bounds each maximum from
-    below.  A candidate with B < t is dropped only with a margin that covers
-    rounding: 1e-9 relative, plus 1e-14*sqrt(t) for the log form's absolute
-    error (a few ulps of 2|d| + 2B, with |d| <= sqrt(B/2)), which matters only
-    for near-tied samples.  So the max, and its first position, are exact.
+    B = max(K_2, K_-1) bounds every K_s (see the module docstring), and t, the
+    smallest over ``screened`` of the larger K_s at the argmaxes of K_2 and
+    K_-1, bounds each maximum from below.  A candidate with B < t is dropped
+    only with a margin that covers rounding, which matters only for near-tied
+    samples:
+    - 1e-9 relative covers B and the s = 1/2 form, sums of positive terms good
+      to a few ulps, and the error e^(s*L1) in the log and expm1 forms draws
+      from that of L1: a few ulps of |s*L1| <= 1500, about 1e-12 relative;
+    - 1e-14*sqrt(t) covers the cancellation in the log forms: u*L1 and
+      (1-u)*L2 are about d and -d, so K_0 and K_1 err by a few ulps of
+      2|d| + 2B, with |d| <= sqrt(B/2);
+    - the expm1 form's terms are about -s*d and s*d, and their sum is divided
+      by s(1-s), so it errs up to 1/|1-s| times as much as the log forms: the
+      margin is widened by the largest such factor above 1.
+    A non-finite t drops nothing.  So each max, and its first position, are
+    exact.
     """
     uu, cu, vv, cv, d, out, a, b = ws
     k2 = _k_into(_HC, *ws)
@@ -306,25 +335,28 @@ def _screened(ws, limits: list[PhiIndex]):
     top = np.array([k2.argmax(), kn.argmax()])
     best = {2.0: (k2.item(top[0]), top.item(0)), -1.0: (kn.item(top[1]), top.item(1))}
     bound = np.maximum(k2, kn, out=out)
-    t = max(float(_k_at(top, ws, limits).max(axis=1).min()), 0.0)
-    keep = bound >= t - 1e-9 * t - 1e-14 * math.sqrt(t)
+    t = max(float(_k_at(top, ws, screened).max(axis=1).min()), 0.0)
+    w = max([1.0] + [1.0 / abs(1.0 - i.s) for i in screened if i.regime is Regime.GENERIC])
+    keep = bound >= (t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf)
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
     (kept,) = keep.nonzero()
-    return kept, _k_at(kept, ws, limits), best
+    return kept, _k_at(kept, ws, screened), best
 
 
 def _sup(values: np.ndarray, idxs: list[PhiIndex]) -> tuple[np.ndarray, tuple[int, ...]]:
     """S_n(s) for each s in ``idxs`` on one sorted array, and the first candidate
     position of each maximum: the one choice of full pass or screen.  ``d`` is
-    shared across all s; s = 0 and s = 1 share one screen, which also yields
-    S_n(2) and S_n(-1).  No checks: the table builder runs it millions of times.
+    shared across all s; every s in (-1, 2) goes through one screen, which also
+    yields S_n(2) and S_n(-1), and any other s makes a full pass.  No checks:
+    the table builder runs it millions of times.
     """
     ws = _workspace(values)
-    limits = [idx for idx in idxs if idx.regime is not Regime.GENERIC]
+    screened = [idx for idx in idxs if -1.0 < idx.s < 2.0]
+    screened.sort(key=lambda idx: idx.regime is Regime.GENERIC)  # log forms first: see _k_at
     best = {}  # s -> (max K_s as a Python float, its first position)
-    if limits:
-        kept, ks, best = _screened(ws, limits)
-        for idx, k in zip(limits, ks):
+    if screened:
+        kept, ks, best = _screened(ws, screened)
+        for idx, k in zip(screened, ks):
             p = int(k.argmax())
             best[idx.s] = (k.item(p), kept.item(p))
     for idx in idxs:

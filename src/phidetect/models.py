@@ -53,7 +53,6 @@ __all__ = [
     "MixtureSpec",
     "expfam_mixture",
     "mixture_family",
-    "MIXTURE_FAMILY_NAMES",
     "sample_mixture",
     "to_pvalues",
     "signal_cdf_transformed",
@@ -500,8 +499,6 @@ _FAMILIES = {
     "scale-frechet": (("sparse", "dense"), ("shape",),
                       _tilt(scale_frechet_family, "scale-frechet")),
 }
-
-MIXTURE_FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def mixture_family(name: str, *, regime: str | None = None, **params) -> MixtureFamily:

@@ -39,7 +39,6 @@ __all__ = [
     "CACHE_VERSION",
     "centering",
     "centering_offset",
-    "gumbel_cdf",
     "gumbel_quantile",
     "CalibrationTable",
     "mc_null_tables",
@@ -74,13 +73,6 @@ def centering_offset(n: int) -> float:
     """r_n where defined, 0 below the domain cut — the shift actually applied
     to n*S_n(s) everywhere in this package (tables and test statistics)."""
     return centering(n) if n >= CENTERING_MIN_N else 0.0
-
-
-def gumbel_cdf(x) -> float | np.ndarray:
-    """CDF exp(-4 exp(-x)) of the limit law."""
-    xa = np.asarray(x, dtype=np.float64)
-    out = np.exp(-4.0 * np.exp(-xa))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def gumbel_quantile(p) -> float | np.ndarray:

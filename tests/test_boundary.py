@@ -15,9 +15,8 @@ from phidetect import (
     mixture_family,
     rho_dense,
     rho_normal_sparse,
-    superlevel_measure,
 )
-from phidetect.boundary import BOUNDARY_KINDS, default_t_domain
+from phidetect.boundary import BOUNDARY_KINDS
 
 
 def test_sparse_normal_boundary_values():
@@ -115,29 +114,6 @@ def test_alpha_route_degenerate():
     assert beta_sharp_from_alpha(lambda t: np.zeros_like(t), 0.0) == 0.5
 
 
-def test_superlevel_measure():
-    assert superlevel_measure(lambda t: 1.0 - t, 0.5, (0.0, 2.0)) == pytest.approx(
-        0.5, abs=2.0 / 10_000
-    )
-    assert superlevel_measure(lambda t: -t, -0.5, (0.0, 1.0)) == pytest.approx(
-        0.5, abs=1.0 / 10_000
-    )
-    assert superlevel_measure(lambda t: np.full_like(t, -1.0), 0.0, (0.0, 1.0)) == 0.0
-    with np.errstate(divide="ignore"), pytest.raises(DomainError):
-        superlevel_measure(lambda t: 1.0 / t, 0.0, (0.0, 1.0))  # inf at t=0
-    with pytest.raises(DomainError):
-        superlevel_measure(lambda t: t, 0.0, (0.0, 1.0), grid_points=10)
-
-
-def test_default_t_domain():
-    lo, hi = default_t_domain(1000)
-    assert lo == pytest.approx(math.log(2.0) / math.log(1000.0), rel=1e-15)
-    assert hi == 10.0
-    assert default_t_domain(100, t_max=3.0)[1] == 3.0
-    with pytest.raises(DomainError):
-        default_t_domain(1)
-
-
 def test_threshold_from_measured_exponents():
     """End-to-end: feed the measured exponent curve of a tilted mixture into
     the numeric threshold and compare with the closed form.
@@ -155,7 +131,7 @@ def test_threshold_from_measured_exponents():
             spec = MixtureSpec(fam, 0.75, r, n)
             log_n = math.log(n)
             gamma = lambda t: h_exponent(spec, t) / log_n
-            got = beta_sharp_from_gamma(gamma, *default_t_domain(n))
+            got = beta_sharp_from_gamma(gamma, math.log(2.0) / math.log(n), 10.0)
             deficits.append(target - got)
         assert all(d > 0 for d in deficits)
         assert deficits[0] > deficits[1] > deficits[2]

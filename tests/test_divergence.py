@@ -294,6 +294,24 @@ def test_overflow_at_the_pvalue_floor_is_inf_and_silent_on_every_route():
     assert got == [math.inf] * 3
 
 
+def test_members_below_two_are_finite_at_the_pvalue_floor():
+    # v*expm1(s*L1) overflowed here for s in (1, 2), though K_s is about
+    # u^s v^(1-s) / (s(s-1)): 5e149 at s = 1.5 and 2e269 at s = 1.9 for u = 1/2
+    for s in (1.5, 1.9):
+        for u in (1e-5, 0.25, 0.5, 1.0 - 1e-5):
+            got = kappa(s, u, 1e-300)
+            # log-space reference; the O(1) terms of K_s are below 1e-140 of it
+            log_k = s * math.log(u) - (s - 1.0) * math.log(1e-300) - math.log(s * (s - 1.0))
+            want = math.exp(log_k)
+            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12), (s, u)
+        sample = SortedPValueSample(np.array([1e-300, 0.3, 0.6, 0.9]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = sup_statistic(sample, s)
+        assert (st.value, st.argmax_index, st.argmax_side) == (
+            kappa(s, 0.25, 1e-300), 1, EndpointSide.LEFT)
+
+
 # --------------------------------------------------------------------------
 # sup statistic
 
@@ -435,20 +453,25 @@ def test_multi_s_matches_single(rng=np.random.default_rng(515)):
         np.testing.assert_array_equal(batch, np.asarray(singles))
 
 
-SCREENED_S = (0.0, 5e-9, 1.0, 1.0 + 5e-9)
+#: The Berk-Jones members, then the rest of the range (-1, 2) the screen serves;
+#: 1 + 1e-6 is an expm1-form member whose rounding needs the widened margin.
+SCREENED_S = (0.0, 5e-9, 1.0, 1.0 + 5e-9,
+              -1.0 + 1e-9, -0.5, 0.25, 0.5, 0.75, 1.0 + 1e-6, 1.5, 2.0 - 1e-9)
 
 
 def _screen_samples():
     """Uniform, tied, floor-clamped and normal-sparse samples, and near-tied
-    pairs around 1/2 (where the log forms' rounding exceeds the s = 0, 1 bound)."""
+    pairs around 1/2 (where the log and expm1 forms' rounding exceeds the bound).
+    Subnormal p-values (5e-324, below the floor) make K_2 and K_(2-1e-9) infinite."""
     for n in (2, 3, 50, 1000, 100_000):
         yield np.sort(uniform_open(replicate_rng(31, n), n))
         half = uniform_open(replicate_rng(32, n), (n + 1) // 2)
         yield np.sort(np.concatenate([half, half]))[:n]
-        floor = np.sort(uniform_open(replicate_rng(33, n), n))
-        floor[: max(1, n // 20)] = 1e-300
-        floor[-max(1, n // 20):] = 1.0 - 2.0**-53
-        yield np.sort(floor)
+        for low in (1e-300, 5e-324):
+            floor = np.sort(uniform_open(replicate_rng(33, n), n))
+            floor[: max(1, n // 20)] = low
+            floor[-max(1, n // 20):] = 1.0 - 2.0**-53
+            yield np.sort(floor)
         spec = MixtureSpec(mixture_family("normal"), 0.6, 0.5, n)
         yield to_pvalues(sample_mixture(spec, replicate_rng(34, n))[0], spec.noise).values
     rng = np.random.default_rng(35)

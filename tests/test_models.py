@@ -29,7 +29,7 @@ from phidetect import (
     to_pvalues,
     uniform_open,
 )
-from phidetect.models import _FAMILIES, Distribution, MIXTURE_FAMILY_NAMES, _sample_pvalues
+from phidetect.models import _FAMILIES, Distribution, _sample_pvalues
 
 DISTS = [
     Uniform(),
@@ -238,7 +238,7 @@ def test_mixture_spec_validation():
 
 
 def test_family_registry():
-    for name in MIXTURE_FAMILY_NAMES:
+    for name in _FAMILIES:
         assert mixture_family(name).name.startswith(name.split("(")[0])
     assert mixture_family("scale-exponential").regime == "dense"
     assert mixture_family("scale-exponential", regime="sparse").regime == "sparse"
@@ -255,7 +255,7 @@ def test_family_registry():
         "location-gumbel": ("sparse", "dense"),
         "scale-frechet": ("sparse", "dense"),
     }
-    assert set(MIXTURE_FAMILY_NAMES) == set(supported)
+    assert set(_FAMILIES) == set(supported)
     for name, regimes in supported.items():
         assert mixture_family(name).regime == regimes[0]
         for regime in regimes:
