@@ -318,8 +318,8 @@ def _screened(ws, screened: list[PhiIndex]):
     only with a margin that covers rounding, which matters only for near-tied
     samples:
     - 1e-9 relative covers B and the s = 1/2 form, sums of positive terms good
-      to a few ulps, and the error e^(s*L1) in the log and expm1 forms draws
-      from that of L1: a few ulps of |s*L1| <= 1500, about 1e-12 relative;
+      to a few ulps, and the relative error the other forms take from L1 and
+      L2, each good to a few ulps of |L1| <= 745: about 1e-12 after e^(s*L1);
     - 1e-14*sqrt(t) covers the cancellation in the log forms: u*L1 and
       (1-u)*L2 are about d and -d, so K_0 and K_1 err by a few ulps of
       2|d| + 2B, with |d| <= sqrt(B/2);

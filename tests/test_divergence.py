@@ -297,6 +297,7 @@ def test_overflow_at_the_pvalue_floor_is_inf_and_silent_on_every_route():
 def test_members_below_two_are_finite_at_the_pvalue_floor():
     # v*expm1(s*L1) overflowed here for s in (1, 2), though K_s is about
     # u^s v^(1-s) / (s(s-1)): 5e149 at s = 1.5 and 2e269 at s = 1.9 for u = 1/2
+    sample = SortedPValueSample(np.array([1e-300, 0.3, 0.6, 0.9]))
     for s in (1.5, 1.9):
         for u in (1e-5, 0.25, 0.5, 1.0 - 1e-5):
             got = kappa(s, u, 1e-300)
@@ -304,7 +305,6 @@ def test_members_below_two_are_finite_at_the_pvalue_floor():
             log_k = s * math.log(u) - (s - 1.0) * math.log(1e-300) - math.log(s * (s - 1.0))
             want = math.exp(log_k)
             assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12), (s, u)
-        sample = SortedPValueSample(np.array([1e-300, 0.3, 0.6, 0.9]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             st = sup_statistic(sample, s)
