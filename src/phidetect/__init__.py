@@ -13,8 +13,6 @@ from ._rand import RNG_ID, replicate_rng, stable_seed, uniform_open
 from .divergence import (
     DivergenceStatistic,
     EndpointSide,
-    PhiIndex,
-    Regime,
     SortedPValueSample,
     kappa,
     phi,
@@ -68,7 +66,6 @@ from .boundary import (
 )
 from .experiments import (
     BoundaryComparison,
-    LrOutcome,
     PowerGridConfig,
     PowerResult,
     TestOutcome,

@@ -325,24 +325,21 @@ def cmd_power(args) -> int:
 
 
 def _read_gamma_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """'t,gamma' rows, one per non-empty line; the first of them may be a header."""
     text = Path(path).read_text(encoding="utf-8")
-    ts, gs = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    rows = []
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
+    for k, (lineno, raw) in enumerate(lines):
+        parts = [p.strip() for p in raw.strip().split(",")]
         if len(parts) != 2:
             raise DomainError(f"line {lineno}: expected 't,gamma' pairs, got {raw!r}")
         try:
-            ts.append(float(parts[0]))
-            gs.append(float(parts[1]))
+            rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            if lineno == 1:
+            if k == 0:
                 continue  # header
             raise DomainError(f"line {lineno}: cannot parse {raw!r}") from None
-    t = np.asarray(ts, dtype=np.float64)
-    g = np.asarray(gs, dtype=np.float64)
+    t, g = np.array(rows, dtype=np.float64).reshape(-1, 2).T
     if t.size < 2 or np.any(np.diff(t) <= 0):
         raise DomainError("gamma table needs >= 2 rows with strictly increasing t")
     return t, g

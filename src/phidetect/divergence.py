@@ -32,11 +32,13 @@ is accurate to a few ulps everywhere, including v at the p-value floor 1e-300
     K_s(u,v) = -(v*expm1(s*L1) + (1-v)*expm1(s*L2)) / (s*(1-s)),
     L1 = log1p(d/v),  L2 = log1p(-d/(1-v)),
 
-with the limits K_0 = -(v*L1 + (1-v)*L2) and K_1 = u*L1 + (1-u)*L2.  This
-stays accurate as u -> v (relative error O(eps/|d|) instead of O(eps/d**2)
-for the textbook form).  Where e^(s*L1) overflows before the scaling by v
-(s > 1, v near the floor), v*expm1(s*L1) is recomputed as
-exp(s*log(u) + (1-s)*log(v)), so every K_s with s < 2 is finite at the floor.
+with the limits K_0 = -(v*L1 + (1-v)*L2) and K_1 = u*L1 + (1-u)*L2, used for
+every s within ``S_REGIME_TOL`` of 0 or 1 (``_kernel_s``, the one place that
+choice is written).  This stays accurate as u -> v (relative error
+O(eps/|d|) instead of O(eps/d**2) for the textbook form).  Where e^(s*L1)
+overflows before the scaling by v (s > 1, v near the floor), v*expm1(s*L1) is
+recomputed as exp(s*log(u) + (1-s)*log(v)), so every K_s with s < 2 is finite
+at the floor.
 
 Screen for every s in (-1, 2).  With c = (1-u)/(1-v), d/dv K_s(u, v) =
 (c**s - (u/v)**s)/s and K_s(u, u) = 0, so ::
@@ -71,7 +73,6 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,6 @@ from .errors import DomainError
 
 __all__ = [
     "S_REGIME_TOL",
-    "Regime",
-    "PhiIndex",
     "SortedPValueSample",
     "EndpointSide",
     "DivergenceStatistic",
@@ -95,37 +94,26 @@ __all__ = [
 S_REGIME_TOL = 1e-8
 
 
-class Regime(enum.Enum):
-    """Branch selector for the removable singularities of phi_s."""
-
-    GENERIC = "generic"
-    LIMIT_S0 = "limit-s0"
-    LIMIT_S1 = "limit-s1"
-
-
-@dataclass(frozen=True)
-class PhiIndex:
-    """The divergence parameter s together with its evaluation regime."""
-
-    s: float
-
-    def __post_init__(self) -> None:
-        s = float(self.s)
-        if not math.isfinite(s):
-            raise DomainError(f"divergence parameter must be finite, got {self.s!r}")
-        object.__setattr__(self, "s", s)
-
-    @cached_property
-    def regime(self) -> Regime:
-        if abs(self.s) < S_REGIME_TOL:
-            return Regime.LIMIT_S0
-        if abs(self.s - 1.0) < S_REGIME_TOL:
-            return Regime.LIMIT_S1
-        return Regime.GENERIC
+def _finite_s(s) -> float:
+    """The divergence parameter as a float, checked where it enters from outside."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"divergence parameter must be finite, got {s!r}")
+    return s
 
 
-def _as_index(s: float | PhiIndex) -> PhiIndex:
-    return s if isinstance(s, PhiIndex) else PhiIndex(float(s))
+def _kernel_s(s: float) -> float:
+    """s as the kernel reads it: 0.0 or 1.0 where |s| or |s - 1| is below
+    ``S_REGIME_TOL`` (the log forms K_0 and K_1), otherwise s itself.
+
+    The one place the log-form choice is written; ``_sup`` applies it once
+    per s, and ``_k_into`` and ``phi`` then test s == 0.0 and s == 1.0.
+    """
+    if abs(s) < S_REGIME_TOL:
+        return 0.0
+    if abs(s - 1.0) < S_REGIME_TOL:
+        return 1.0
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,44 +158,43 @@ class EndpointSide(enum.Enum):
 class DivergenceStatistic:
     """Value and location of S_n(s) = sup K_s(F_n(x), x)."""
 
-    index: PhiIndex
     value: float
     argmax_index: int  # interval rank i in 1..n-1
     argmax_side: EndpointSide
 
 
-def phi(s: float | PhiIndex, x) -> float | np.ndarray:
+def phi(s: float, x) -> float | np.ndarray:
     """Evaluate the convex generator phi_s at x >= 0.
 
     Total on the domain: x=0 returns the right limit (1/s for s>0 outside
     {1}, 1.0 at s=1, +inf for s<=0), and +inf propagates naturally for
     overflowing arguments.  phi_s(x) >= 0 with equality iff x == 1.
     """
-    idx = _as_index(s)
+    s = _kernel_s(_finite_s(s))
     xa = np.asarray(x, dtype=np.float64)
     if np.any(np.isnan(xa)) or np.any(xa < 0.0):
         raise DomainError("phi requires x >= 0")
     w = xa - 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lx = np.log1p(w)  # log(x); -inf at x=0
-        if idx.regime is Regime.LIMIT_S0:
+        if s == 0.0:
             out = w - lx
-        elif idx.regime is Regime.LIMIT_S1:
+        elif s == 1.0:
             out = xa * lx - w
             out = np.where(xa == 0.0, 1.0, out)  # 0*log(0) limit
         else:
-            sv = idx.s
-            out = (sv * w - np.expm1(sv * lx)) / (sv * (1.0 - sv))
+            out = (s * w - np.expm1(s * lx)) / (s * (1.0 - s))
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.ndarray:
+def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.ndarray:
     """K_s(u, v) into ``out``; ``cu``, ``cv`` are 1 - u, 1 - v and ``d`` = u - v.
 
-    This is the only place the s-regime switch for K_s is written; every K_s
-    evaluation in the package goes through it.  ``a`` and ``b`` are scratch.
+    This is the one switch over the K_s forms; every K_s evaluation in the
+    package goes through it.  ``s`` comes from ``_kernel_s``, so s == 0.0 and
+    s == 1.0 select the log forms.  ``a`` and ``b`` are scratch.
     The log and expm1 forms first fill them with L1 = log(u/v),
     L2 = log((1-u)/(1-v)), unless ``logs`` says they hold them already; s = 0
     and s = 1 leave them intact, so one fill serves both and an expm1 form
@@ -215,14 +202,13 @@ def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) ->
     and ``kappa``, silence overflow, so the table builder's inner loop pays
     for no ``errstate``.
     """
-    sv = idx.s
-    if sv == 2.0 or sv == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
-        w, cw = (v, cv) if sv == 2.0 else (u, cu)
+    if s == 2.0 or s == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
+        w, cw = (v, cv) if s == 2.0 else (u, cu)
         np.multiply(w, cw, out=out)
         out += out
         np.divide(d, out, out=out)
         return np.multiply(out, d, out=out)
-    if sv == 0.5:  # 2[(d/(sqrt(u)+sqrt(v)))^2 + (d/(sqrt(1-u)+sqrt(1-v)))^2]
+    if s == 0.5:  # 2[(d/(sqrt(u)+sqrt(v)))^2 + (d/(sqrt(1-u)+sqrt(1-v)))^2]
         np.add(np.sqrt(u, out=a), np.sqrt(v, out=b), out=a)
         np.square(np.divide(d, a, out=out), out=out)
         np.add(np.sqrt(cu, out=a), np.sqrt(cv, out=b), out=a)
@@ -231,31 +217,31 @@ def _k_into(idx: PhiIndex, u, cu, v, cv, d, out, a, b, *, logs: bool = False) ->
     if not logs:
         np.log1p(np.divide(d, v, out=a), out=a)
         np.log1p(np.divide(np.negative(d, out=b), cv, out=b), out=b)
-    if idx.regime is Regime.LIMIT_S0:
+    if s == 0.0:
         np.multiply(v, a, out=out)
         out += cv * b
         return np.negative(out, out=out)
-    if idx.regime is Regime.LIMIT_S1:
+    if s == 1.0:
         np.multiply(u, a, out=out)
         out += cu * b
         return out
-    np.expm1(np.multiply(a, sv, out=out), out=out)
+    np.expm1(np.multiply(a, s, out=out), out=out)
     out *= v
     if out.max(initial=0.0) == math.inf:  # e^(s*L1) overflowed before the scaling by v:
         big = out == math.inf  # there v*expm1(s*L1) = u^s v^(1-s) to within v
-        out[big] = np.exp(sv * np.log(u[big]) + (1.0 - sv) * np.log(v[big]))
-    np.expm1(np.multiply(b, sv, out=b), out=b)
+        out[big] = np.exp(s * np.log(u[big]) + (1.0 - s) * np.log(v[big]))
+    np.expm1(np.multiply(b, s, out=b), out=b)
     b *= cv
     out += b
-    return np.divide(out, -(sv * (1.0 - sv)), out=out)
+    return np.divide(out, -(s * (1.0 - s)), out=out)
 
 
-def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
+def kappa(s: float, u, v) -> float | np.ndarray:
     """Two-point divergence K_s(u, v) for u, v strictly inside (0, 1).
 
     Symmetric under (u, v) -> (1-u, 1-v); zero iff u == v; convex in v.
     """
-    idx = _as_index(s)
+    s = _kernel_s(_finite_s(s))
     ua = np.asarray(u, dtype=np.float64)
     va = np.asarray(v, dtype=np.float64)
     if np.any(~((ua > 0.0) & (ua < 1.0))):
@@ -267,7 +253,7 @@ def kappa(s: float | PhiIndex, u, v) -> float | np.ndarray:
     ub, vb = (np.array(np.broadcast_to(x, shape), ndmin=1) for x in (ua, va))
     out, a, b = (np.empty(ub.shape) for _ in range(3))
     with np.errstate(over="ignore"):
-        _k_into(idx, ub, 1.0 - ub, vb, 1.0 - vb, ub - vb, out, a, b)
+        _k_into(s, ub, 1.0 - ub, vb, 1.0 - vb, ub - vb, out, a, b)
     return out if shape else float(out[0])
 
 
@@ -288,23 +274,20 @@ def _workspace(values: np.ndarray) -> tuple[np.ndarray, ...]:
     return ws
 
 
-_HC, _NEYMAN = PhiIndex(2.0), PhiIndex(-1.0)
-
-
-def _k_at(pos: np.ndarray, ws, screened: list[PhiIndex]) -> np.ndarray:
+def _k_at(pos: np.ndarray, ws, screened: list[float]) -> np.ndarray:
     """Rows K_s, one per s in ``screened``, at candidate positions ``pos``: one
     gather.  Only a log form leaves the L1/L2 fill intact for the next row;
     ``expm1`` overwrites ``b`` and s = 1/2 both, so ``_sup`` puts s = 0, 1 first."""
     cols = [x[pos] for x in ws[:5]]
     a, b, *ks = rows = np.empty((2 + len(screened), pos.size))
     logs = False
-    for idx, k in zip(screened, ks):
-        _k_into(idx, *cols, k, a, b, logs=logs)
-        logs = idx.regime is not Regime.GENERIC
+    for s, k in zip(screened, ks):
+        _k_into(s, *cols, k, a, b, logs=logs)
+        logs = s == 0.0 or s == 1.0
     return rows[2:]
 
 
-def _screened(ws, screened: list[PhiIndex]):
+def _screened(ws, screened: list[float]):
     """K_s for each s in ``screened`` (all in (-1, 2)) on the candidates that can
     reach its max.
 
@@ -330,46 +313,47 @@ def _screened(ws, screened: list[PhiIndex]):
     exact.
     """
     uu, cu, vv, cv, d, out, a, b = ws
-    k2 = _k_into(_HC, *ws)
-    kn = _k_into(_NEYMAN, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
+    k2 = _k_into(2.0, *ws)
+    kn = _k_into(-1.0, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
     top = np.array([k2.argmax(), kn.argmax()])
     best = {2.0: (k2.item(top[0]), top.item(0)), -1.0: (kn.item(top[1]), top.item(1))}
     bound = np.maximum(k2, kn, out=out)
     t = max(float(_k_at(top, ws, screened).max(axis=1).min()), 0.0)
-    w = max([1.0] + [1.0 / abs(1.0 - i.s) for i in screened if i.regime is Regime.GENERIC])
+    w = max([1.0] + [1.0 / abs(1.0 - s) for s in screened if s != 0.0 and s != 1.0])
     keep = bound >= (t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf)
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
     (kept,) = keep.nonzero()
     return kept, _k_at(kept, ws, screened), best
 
 
-def _sup(values: np.ndarray, idxs: list[PhiIndex]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """S_n(s) for each s in ``idxs`` on one sorted array, and the first candidate
-    position of each maximum: the one choice of full pass or screen.  ``d`` is
-    shared across all s; every s in (-1, 2) goes through one screen, which also
-    yields S_n(2) and S_n(-1), and any other s makes a full pass.  No checks:
-    the table builder runs it millions of times.
+def _sup(values: np.ndarray, s_values: list[float]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """S_n(s) for each s in ``s_values`` on one sorted array, and the first
+    candidate position of each maximum: the one choice of full pass or screen.
+    ``d`` is shared across all s; every s in (-1, 2) goes through one screen,
+    which also yields S_n(2) and S_n(-1), and any other s makes a full pass.  No
+    checks: the table builder runs it millions of times.
     """
     ws = _workspace(values)
-    screened = [idx for idx in idxs if -1.0 < idx.s < 2.0]
-    screened.sort(key=lambda idx: idx.regime is Regime.GENERIC)  # log forms first: see _k_at
-    best = {}  # s -> (max K_s as a Python float, its first position)
+    forms = [_kernel_s(s) for s in s_values]
+    screened = [s for s in forms if -1.0 < s < 2.0]
+    screened.sort(key=lambda s: s != 0.0 and s != 1.0)  # log forms first: see _k_at
+    best = {}  # kernel s -> (max K_s as a Python float, its first position)
     if screened:
         kept, ks, best = _screened(ws, screened)
-        for idx, k in zip(screened, ks):
+        for s, k in zip(screened, ks):
             p = int(k.argmax())
-            best[idx.s] = (k.item(p), kept.item(p))
-    for idx in idxs:
-        if idx.s not in best:
-            k = _k_into(idx, *ws)
+            best[s] = (k.item(p), kept.item(p))
+    for s in forms:
+        if s not in best:
+            k = _k_into(s, *ws)
             p = int(k.argmax())
-            best[idx.s] = (k.item(p), p)
-    vals, pos = zip(*[best[idx.s] for idx in idxs])
+            best[s] = (k.item(p), p)
+    vals, pos = zip(*[best[s] for s in forms])
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
     return np.array([max(v, 0.0) + 0.0 for v in vals]), pos
 
 
-def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> DivergenceStatistic:
+def sup_statistic(sample: SortedPValueSample, s: float) -> DivergenceStatistic:
     """S_n(s): supremum of K_s(F_n(x), x) over the observation range.
 
     Exact endpoint evaluation: the maximum over each of the n-1 constancy
@@ -380,12 +364,11 @@ def sup_statistic(sample: SortedPValueSample, s: float | PhiIndex) -> Divergence
     """
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
-    idx = _as_index(s)
     with np.errstate(over="ignore"):
-        (value,), (pos,) = _sup(sample.values, [idx])
+        (value,), (pos,) = _sup(sample.values, [_finite_s(s)])
     m = sample.n - 1
     rank, side = (pos + 1, EndpointSide.LEFT) if pos < m else (pos - m + 1, EndpointSide.RIGHT)
-    return DivergenceStatistic(index=idx, value=float(value), argmax_index=rank, argmax_side=side)
+    return DivergenceStatistic(value=float(value), argmax_index=rank, argmax_side=side)
 
 
 def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
@@ -393,7 +376,7 @@ def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     with np.errstate(over="ignore"):
-        return _sup(sample.values, [_as_index(s) for s in s_values])[0]
+        return _sup(sample.values, [_finite_s(s) for s in s_values])[0]
 
 
 def z_sup(sample: SortedPValueSample, a: float, b: float) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "scaled_statistics",
     "TestOutcome",
     "run_divergence_test",
-    "LrOutcome",
     "log_likelihood_ratio",
     "run_lr_test",
     "PowerGridConfig",
@@ -122,12 +121,6 @@ def run_divergence_test(
     return TestOutcome(stat, crit, stat > crit, pvalue_from_sorted(table.sorted_stats, stat))
 
 
-@dataclass(frozen=True)
-class LrOutcome:
-    llr: float
-    reject: bool
-
-
 def log_likelihood_ratio(data, spec: MixtureSpec) -> float:
     """log dQ_n^n/dP_0^n = sum_i log((1-eps) + eps * (d mu_n/d P_0)(x_i))."""
     x = np.asarray(data, dtype=np.float64)
@@ -141,14 +134,13 @@ def log_likelihood_ratio(data, spec: MixtureSpec) -> float:
     return float(np.sum(np.logaddexp(math.log1p(-eps), math.log(eps) + log_r)))
 
 
-def run_lr_test(data, spec: MixtureSpec) -> LrOutcome:
+def run_lr_test(data, spec: MixtureSpec) -> bool:
     """Zero-threshold likelihood-ratio test of P_0^n against the mixture.
 
-    Reject iff llr >= 0: the Neyman-Pearson form whose error sum attains the
-    sharp boundary bound.
+    Rejects (True) iff llr >= 0: the Neyman-Pearson form whose error sum
+    attains the sharp boundary bound.
     """
-    llr = log_likelihood_ratio(data, spec)
-    return LrOutcome(llr, llr >= 0.0)
+    return log_likelihood_ratio(data, spec) >= 0.0
 
 
 # --------------------------------------------------------------------------
@@ -357,10 +349,10 @@ def boundary_comparison(
     for j in range(reps):
         x0 = spec.noise.sample(spec.n, replicate_rng(null_seed, j))
         rej_null += scaled_statistics(to_pvalues(x0, spec.noise), s_list) > crits
-        lr_rej_null += run_lr_test(x0, spec).reject
+        lr_rej_null += run_lr_test(x0, spec)
         x1, _ = sample_mixture(spec, replicate_rng(alt_seed, j))
         rej_alt += scaled_statistics(to_pvalues(x1, spec.noise), s_list) > crits
-        lr_rej_alt += run_lr_test(x1, spec).reject
+        lr_rej_alt += run_lr_test(x1, spec)
     error_sums = tuple((rej_null + (reps - rej_alt)) / reps)
     lr_error_sum = (lr_rej_null + (reps - lr_rej_alt)) / reps
     return BoundaryComparison(

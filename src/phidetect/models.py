@@ -9,10 +9,10 @@ three conventions, fixed per family:
 * ``theta_n = n^{-r}``          — exponential-family tilts, dense regime.
 
 Exponential families are tilts ``dP_theta/dP_0 = C(theta) exp(theta T(x))``
-of a base noise distribution; every family carries a closed-form tilted law
-and Laplace transform.  Closed forms suffice because each shipped family is
-the scale tilt of a statistic g(X) ~ Exp(1) under P_0, with T = -g: then
-omega(theta) = 1/(1+theta) on theta > -1, Var T = 1 and p = 1.
+of a base noise distribution, each with a closed-form tilted law.  Every
+shipped family is the scale tilt of a statistic g(X) ~ Exp(1) under P_0, with
+T = -g, so ``ExponentialFamily`` states the shared facts once: omega(theta) =
+1/(1+theta) on theta > -1, Var T = 1 and p = 1.
 
 The named mixture families live in one registry, ``_FAMILIES``: each CLI
 name maps to its regimes (default first), the parameters it takes and a
@@ -202,8 +202,8 @@ class Frechet(Distribution):
     support = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise DomainError("frechet model needs shape > 0 and scale > 0")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise DomainError("frechet model needs finite shape > 0 and finite scale > 0")
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=np.float64)
@@ -222,11 +222,13 @@ class Frechet(Distribution):
 
 
 class ExponentialFamily:
-    """Tilted family dP_theta/dP_0 = C(theta) exp(theta T(x)).
+    """Tilted family dP_theta/dP_0 = C(theta) exp(theta T(x)) of a statistic
+    with -T ~ Exp(1) under P_0, the scale tilt every shipped family is.
 
-    The Laplace transform is a closed form.  The shipped families need no
-    other route: each tilts a statistic g(X) ~ Exp(1) under P_0 (T = -g),
-    so omega(theta) = 1/(1+theta).
+    That law fixes what the class states once: the Laplace transform
+    omega(theta) = E_0 exp(theta T) = 1/(1+theta), finite on ``theta_domain``
+    = (-1, inf), and the regularity exponent p = 1 of T near its essential
+    supremum, T_sup - T(Q_0(u near signal tail)) ~ u^{1/p} (``tail_exponent``).
 
     Parameters
     ----------
@@ -234,19 +236,14 @@ class ExponentialFamily:
         The noise law P_0.
     statistic:
         Vectorised natural statistic T.
-    laplace:
-        Closed form theta -> omega(theta) = E_0 exp(theta T).
     tilted:
         Closed-form constructor theta -> Distribution for P_theta.
-    theta_domain:
-        Open interval on which omega is finite.
-    tail_exponent:
-        The regularity exponent p of T near its essential supremum
-        (T_sup - T(Q_0(u near signal tail)) ~ u^{1/p} * slowly varying),
-        when known.
     signal_tail:
         'lower' or 'upper': which tail of the base carries the tilted mass.
     """
+
+    theta_domain = (-1.0, math.inf)
+    tail_exponent = 1.0
 
     def __init__(
         self,
@@ -254,10 +251,7 @@ class ExponentialFamily:
         statistic: Callable,
         *,
         name: str = "expfam",
-        laplace: Callable,
         tilted: Callable,
-        theta_domain: tuple[float, float] = (-math.inf, math.inf),
-        tail_exponent: float | None = None,
         signal_tail: str = "lower",
     ):
         if signal_tail not in ("lower", "upper"):
@@ -265,10 +259,7 @@ class ExponentialFamily:
         self.base = base
         self.T = statistic
         self.name = name
-        self._laplace = laplace
         self._tilted = tilted
-        self.theta_domain = theta_domain
-        self.tail_exponent = tail_exponent
         self.signal_tail = signal_tail
 
     def _check_theta(self, theta: float) -> float:
@@ -282,7 +273,7 @@ class ExponentialFamily:
 
     def laplace_transform(self, theta: float) -> float:
         """omega(theta) = integral of exp(theta*T) dP_0 (= 1/C(theta))."""
-        return float(self._laplace(self._check_theta(theta)))
+        return 1.0 / (1.0 + self._check_theta(theta))
 
     def C(self, theta: float) -> float:
         return 1.0 / self.laplace_transform(theta)
@@ -303,35 +294,27 @@ class ExponentialFamily:
         return self._tilted(self._check_theta(theta))
 
 
-def _scale_tilt(base: Distribution, statistic: Callable, name: str, tilted: Callable,
-                signal_tail: str) -> ExponentialFamily:
-    """A tilt whose statistic has -T ~ Exp(1) under the base: omega(theta) =
-    1/(1+theta) on theta > -1, and p = 1."""
-    return ExponentialFamily(base, statistic, name=name, laplace=lambda th: 1.0 / (1.0 + th),
-                             tilted=tilted, theta_domain=(-1.0, math.inf), tail_exponent=1.0,
-                             signal_tail=signal_tail)
-
-
 def scale_exponential_family() -> ExponentialFamily:
-    """Exp(1) base tilted by T(x) = -x: P_theta = Exp(rate 1+theta), p = 1."""
-    return _scale_tilt(Exponential(1.0), lambda x: -np.asarray(x, dtype=np.float64),
-                       "scale-exponential", lambda th: Exponential(1.0 / (1.0 + th)), "lower")
+    """Exp(1) base tilted by T(x) = -x: P_theta = Exp(rate 1+theta)."""
+    return ExponentialFamily(Exponential(1.0), lambda x: -np.asarray(x, dtype=np.float64),
+                             name="scale-exponential",
+                             tilted=lambda th: Exponential(1.0 / (1.0 + th)))
 
 
 def location_gumbel_family() -> ExponentialFamily:
-    """Gumbel base tilted by T(x) = -exp(-x): P_theta = Gumbel(log(1+theta)), p = 1."""
-    return _scale_tilt(Gumbel(0.0), lambda x: -np.exp(-np.asarray(x, dtype=np.float64)),
-                       "location-gumbel", lambda th: Gumbel(math.log1p(th)), "upper")
+    """Gumbel base tilted by T(x) = -exp(-x): P_theta = Gumbel(log(1+theta))."""
+    return ExponentialFamily(Gumbel(0.0), lambda x: -np.exp(-np.asarray(x, dtype=np.float64)),
+                             name="location-gumbel", tilted=lambda th: Gumbel(math.log1p(th)),
+                             signal_tail="upper")
 
 
 def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
-    """Frechet(shape) base tilted by T(x) = -x^{-shape}: scale (1+theta)^{1/shape}, p = 1."""
-    if not shape > 0.0:
-        raise DomainError("frechet shape must be positive")
+    """Frechet(shape) base tilted by T(x) = -x^{-shape}: scale (1+theta)^{1/shape}."""
     a = float(shape)
-    return _scale_tilt(Frechet(a, 1.0), lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
-                       f"scale-frechet(shape={a:g})",
-                       lambda th: Frechet(a, (1.0 + th) ** (1.0 / a)), "upper")
+    return ExponentialFamily(Frechet(a, 1.0), lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
+                             name=f"scale-frechet(shape={a:g})",
+                             tilted=lambda th: Frechet(a, (1.0 + th) ** (1.0 / a)),
+                             signal_tail="upper")
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rand import RNG_ID, _pool_map, replicate_rng, uniform_open
-from .divergence import PhiIndex, _sup
+from .divergence import _finite_s, _sup
 from .errors import CacheCorruptionError, DomainError
 
 __all__ = [
@@ -123,12 +123,11 @@ def _null_stats_block(n: int, s_list: list[float], seed: int, reps: range) -> np
     """Statistics for the replicates in ``reps`` — position-independent by the
     substream contract, so any chunking across workers yields the same rows."""
     rn = centering_offset(n)
-    idxs = [PhiIndex(s) for s in s_list]
     out = np.empty((len(s_list), len(reps)), dtype=np.float64)
     for k, rep in enumerate(reps):
         u = uniform_open(replicate_rng(seed, rep), n)
         u.sort()
-        out[:, k] = n * _sup(u, idxs)[0] - rn
+        out[:, k] = n * _sup(u, s_list)[0] - rn
     return out
 
 
@@ -150,7 +149,7 @@ def mc_null_tables(
         raise DomainError("mc_null_tables requires n >= 2")
     if reps < 100:
         raise DomainError("mc_null_tables requires reps >= 100")
-    s_list = [float(s) for s in s_values]
+    s_list = [_finite_s(s) for s in s_values]
     chunk = -(-reps // (max(workers, 1) * 4))
     chunks = [range(a, min(a + chunk, reps)) for a in range(0, reps, chunk)]
     stats = np.concatenate(

@@ -193,6 +193,17 @@ def test_unknown_flag_is_usage_error(datafile):
 # calibrate subcommand
 
 
+@pytest.mark.parametrize("argv", [["test", "DATA", "--s", "nan"],
+                                  ["calibrate", "--n", "20", "--s", "inf"],
+                                  ["calibrate", "--n", "20", "--s=-inf"]])
+def test_non_finite_s_exits_2_before_any_table(capsys, tmp_path, datafile, argv):
+    cache = tmp_path / "cache"
+    argv = [datafile if a == "DATA" else a for a in argv]
+    code, out, err = _run(capsys, argv + ["--reps", "200", "--cache-dir", cache])
+    assert code == 2 and out == "" and "finite" in err
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
 def test_cmd_calibrate_builds_and_reports(capsys, tmp_path):
     cache = tmp_path / "cache"
     argv = ["calibrate", "--n", "40", "--s", "2", "--reps", "120", "--seed", "7",
@@ -386,6 +397,14 @@ def test_cmd_boundary_gamma_table(capsys, tmp_path):
     code, raw, _ = _run(capsys, ["boundary", "--gamma-table", table, "--json"])
     assert code == 0
     assert json.loads(raw)["beta_sharp"] == 0.5
+    # the header may follow blank lines, but only the first non-empty line is one
+    table.write_text("\n  \nt,gamma\n0.1,0.2\n0.5,0.4\n")
+    code, raw, _ = _run(capsys, ["boundary", "--gamma-table", table, "--json"])
+    assert code == 0
+    assert (json.loads(raw)["t_min"], json.loads(raw)["t_max"]) == (0.1, 0.5)
+    table.write_text("t,gamma\n0.1,0.2\nt,gamma\n0.5,0.4\n")
+    code, _, err = _run(capsys, ["boundary", "--gamma-table", table])
+    assert code == 2 and "line 3" in err
 
 
 def test_cmd_boundary_errors(capsys, tmp_path):
@@ -470,6 +489,12 @@ def test_cmd_diagnose_errors(capsys, tmp_path):
     fractional.write_text(DIAG_INI.replace("n = 1000", "n = 1e3"))
     assert _run(capsys, ["diagnose", "--model-config", fractional]) == \
         _run(capsys, ["diagnose", "--model-config", ini])
+    frechet = tmp_path / "frechet.ini"
+    for shape in ("inf", "nan"):
+        frechet.write_text(DIAG_INI.replace("family = normal",
+                                            f"family = scale-frechet\nshape = {shape}"))
+        code, out, err = _run(capsys, ["diagnose", "--model-config", frechet])
+        assert code == 2 and out == "" and "frechet" in err
 
 
 def test_cmd_diagnose_rejects_a_regime_the_family_lacks(capsys, tmp_path):

@@ -16,10 +16,10 @@ from phidetect import (
     DomainError,
     EndpointSide,
     MixtureSpec,
-    PhiIndex,
-    Regime,
     SortedPValueSample,
+    ensure_tables,
     kappa,
+    mc_null_tables,
     mixture_family,
     phi,
     replicate_rng,
@@ -90,14 +90,29 @@ def test_phi_nonnegative_on_grid():
 
 
 def test_regime_switch_thresholds():
-    assert PhiIndex(0.0).regime is Regime.LIMIT_S0
-    assert PhiIndex(9e-9).regime is Regime.LIMIT_S0
-    assert PhiIndex(2e-8).regime is Regime.GENERIC
-    assert PhiIndex(1.0).regime is Regime.LIMIT_S1
-    assert PhiIndex(1.0 + 9e-9).regime is Regime.LIMIT_S1
-    assert PhiIndex(2.0).regime is Regime.GENERIC
-    with pytest.raises(DomainError):
-        PhiIndex(math.inf)
+    """Within S_REGIME_TOL of 0 or 1 every route uses the log form verbatim;
+    just outside it, the expm1 form."""
+    sample = SortedPValueSample(np.array([0.01, 0.2, 0.35, 0.8, 0.95]))
+
+    def values(s):
+        return (kappa(s, 0.3, 0.6), phi(s, math.e), sup_statistic(sample, s).value)
+
+    for limit in (0.0, 1.0):
+        assert values(limit + 9e-9) == values(limit)
+        assert all(a != b for a, b in zip(values(limit + 2e-8), values(limit)))
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_divergence_parameter_must_be_finite(s, tmp_path):
+    sample = SortedPValueSample(np.array([0.2, 0.5, 0.7]))
+    for call in (lambda: phi(s, 2.0), lambda: kappa(s, 0.3, 0.6),
+                 lambda: sup_statistic(sample, s),
+                 lambda: sup_statistic_values(sample, [2.0, s]),
+                 lambda: mc_null_tables(20, [2.0, s], 100, 0),
+                 lambda: ensure_tables(tmp_path, 20, [s], 100, 0)):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_phi_continuous_in_s_near_limits():

@@ -98,7 +98,10 @@ def test_parameter_validation():
     for bad in (lambda: Normal(sigma=0.0), lambda: Normal(mu=math.inf),
                 lambda: Exponential(-1.0), lambda: Exponential(0.0),
                 lambda: Gumbel(math.nan), lambda: Frechet(0.0),
-                lambda: Frechet(1.0, -2.0)):
+                lambda: Frechet(1.0, -2.0), lambda: Frechet(math.inf),
+                lambda: Frechet(math.nan), lambda: Frechet(1.0, math.inf),
+                lambda: Frechet(1.0, math.nan),
+                lambda: mixture_family("scale-frechet", shape=math.inf)):
         with pytest.raises(DomainError):
             bad()
 
