@@ -402,6 +402,9 @@ def test_cmd_boundary_gamma_table(capsys, tmp_path):
     code, raw, _ = _run(capsys, ["boundary", "--gamma-table", table, "--json"])
     assert code == 0
     assert (json.loads(raw)["t_min"], json.loads(raw)["t_max"]) == (0.1, 0.5)
+    table.write_text("0.1,gamma\n0.2,0.3\n0.5,0.4\n")  # a header row keeps neither column
+    code, raw, _ = _run(capsys, ["boundary", "--gamma-table", table, "--json"])
+    assert code == 0 and json.loads(raw)["t_min"] == 0.2
     table.write_text("t,gamma\n0.1,0.2\nt,gamma\n0.5,0.4\n")
     code, _, err = _run(capsys, ["boundary", "--gamma-table", table])
     assert code == 2 and "line 3" in err
