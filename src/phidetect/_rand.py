@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -34,6 +35,23 @@ def replicate_rng(seed: int, replicate: int) -> Generator:
     if replicate < 0:
         raise ValueError("replicate index must be nonnegative")
     return Generator(Philox(key=seed, counter=replicate << 128))
+
+
+def _replicate_rngs(seed: int, replicates) -> Iterator[Generator]:
+    """``replicate_rng(seed, rep)`` for each rep in ``replicates``, in turn, as
+    one reused generator: each step sets its Philox counter to ``rep << 128``
+    and empties its buffer, so a replicate draws the same numbers however much
+    the previous one consumed.  Draw from each before taking the next.  A fresh
+    ``Generator(Philox(key, counter))`` costs several times as much: most of it
+    is ``SeedSequence()`` gathering OS entropy that the key then overrides.
+    """
+    bits = Philox(key=seed)
+    rng, state = Generator(bits), bits.state  # counter 0, buffer empty
+    counter = state["state"]["counter"]
+    for rep in replicates:
+        counter[2:] = rep & 0xFFFF_FFFF_FFFF_FFFF, rep >> 64
+        bits.state = state
+        yield rng
 
 
 def uniform_open(rng: Generator, size: int) -> np.ndarray:

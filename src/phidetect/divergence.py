@@ -55,21 +55,28 @@ result is bit-identical to a full pass.  Outside [-1, 2] the bound fails
 (K_s/B exceeds 1e5 at s = 2.5 and -1.5 for some (u, v) in (1e-12, 1)), so
 those s make a full pass.
 
-``_sup`` is the one path from a sample to S_n(s), shared by the statistics and
-the null-table builder.  Overflow (K_s = inf near p = 0) is silenced by
-``np.errstate`` in ``sup_statistic`` and ``sup_statistic_values`` only.
+``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
+one-row stack) and the null-table builder (stacks of replicates).  Overflow
+(K_s = inf near p = 0) is silenced by ``np.errstate`` in ``sup_statistic`` and
+``sup_statistic_values`` only.
 
-Workspace: the candidates live in reused length-2(n-1) buffers, no concatenation:
-the left half holds the left endpoints (i/n, X_{i:n}), the right half the right
-endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and ``1-uu`` are built once per
-n; a sample is copied into the halves of ``vv``, then ``1-vv``, ``d`` and K_s
-are written in place.  Each thread keeps one workspace, for its last n (numpy
-releases the GIL, so a shared one would race); no view of it outlives a call.
+Workspace: ``_sup`` takes R sorted samples of one n as the rows of an (R, n)
+stack, and their candidates live in reused buffers of R runs of 2(n-1), no
+concatenation: the left half of a run holds the left endpoints (i/n, X_{i:n}),
+the right half the right endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and
+``1-uu`` are built once per n; each row is copied into its run of ``vv``, then
+``1-vv``, ``d`` and K_s are written in place for the whole stack, so a stack
+pays numpy's per-call overhead once.  Every reduction (argmax, the screen's
+threshold and kept set, each max) stays within a run, so a row's results do
+not depend on its stack.  Each thread keeps one workspace, for its last n and
+the most rows it has held (numpy releases the GIL, so a shared one would
+race); no view of it outlives a call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -106,7 +113,7 @@ def _kernel_s(s: float) -> float:
     """s as the kernel reads it: 0.0 or 1.0 where |s| or |s - 1| is below
     ``S_REGIME_TOL`` (the log forms K_0 and K_1), otherwise s itself.
 
-    The one place the log-form choice is written; ``_sup`` applies it once
+    The one place the log-form choice is written; ``_plan`` applies it once
     per s, and ``_k_into`` and ``phi`` then test s == 0.0 and s == 1.0.
     """
     if abs(s) < S_REGIME_TOL:
@@ -260,24 +267,28 @@ def kappa(s: float, u, v) -> float | np.ndarray:
 _thread_slot = threading.local()
 
 
-def _workspace(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """This thread's (uu, 1-uu, vv, 1-vv, d, out, a, b), loaded with ``values``."""
-    n = values.size
-    ws = getattr(_thread_slot, "ws", None)
-    if ws is None or ws[0].size != 2 * n - 2:
-        uu = np.tile(np.arange(1, n, dtype=np.float64) / n, 2)
-        ws = _thread_slot.ws = (uu, 1.0 - uu, *(np.empty(2 * n - 2) for _ in range(6)))
+def _workspace(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """This thread's (uu, 1-uu, vv, 1-vv, d, out, a, b), loaded with the R sorted
+    ``rows``: each holds R runs of the 2(n-1) candidates, one run per row."""
+    r, n = rows.shape
+    m = 2 * n - 2
+    slot = getattr(_thread_slot, "ws", None)
+    if slot is None or slot[0] != n or slot[1].size < r * m:
+        uu = np.tile(np.arange(1, n, dtype=np.float64) / n, 2 * r)
+        slot = _thread_slot.ws = (n, uu, 1.0 - uu, *(np.empty(uu.size) for _ in range(6)))
+    ws = slot[1:] if slot[1].size == r * m else tuple(x[: r * m] for x in slot[1:])
     uu, _, vv, cv, d, _, _, _ = ws
-    vv[: n - 1], vv[n - 1 :] = values[:-1], values[1:]
+    runs = vv.reshape(r, m)
+    runs[:, : n - 1], runs[:, n - 1 :] = rows[:, :-1], rows[:, 1:]
     np.subtract(1.0, vv, out=cv)
     np.subtract(uu, vv, out=d)
     return ws
 
 
-def _k_at(pos: np.ndarray, ws, screened: list[float]) -> np.ndarray:
+def _k_at(pos: np.ndarray, ws, screened: tuple[float, ...]) -> np.ndarray:
     """Rows K_s, one per s in ``screened``, at candidate positions ``pos``: one
     gather.  Only a log form leaves the L1/L2 fill intact for the next row;
-    ``expm1`` overwrites ``b`` and s = 1/2 both, so ``_sup`` puts s = 0, 1 first."""
+    ``expm1`` overwrites ``b`` and s = 1/2 both, so ``_plan`` puts s = 0, 1 first."""
     cols = [x[pos] for x in ws[:5]]
     a, b, *ks = rows = np.empty((2 + len(screened), pos.size))
     logs = False
@@ -287,19 +298,36 @@ def _k_at(pos: np.ndarray, ws, screened: list[float]) -> np.ndarray:
     return rows[2:]
 
 
-def _screened(ws, screened: list[float]):
-    """K_s for each s in ``screened`` (all in (-1, 2)) on the candidates that can
-    reach its max.
+@functools.lru_cache(maxsize=256)
+def _plan(s_values: tuple[float, ...]):
+    """How ``_sup`` serves ``s_values``, as kernel s (``_kernel_s``): the distinct
+    s in (-1, 2), which the screen serves, log forms first (see ``_k_at``); then
+    2.0 and -1.0, which the screen yields, and the s that need a full pass.  Also
+    the screen's margin factor (see ``_screened``) and, for each of ``s_values``,
+    its place in that order."""
+    forms = [_kernel_s(s) for s in s_values]
+    screened = tuple(sorted(dict.fromkeys(s for s in forms if -1.0 < s < 2.0),
+                            key=lambda s: s != 0.0 and s != 1.0))
+    keys = (*screened, 2.0, -1.0) if screened else ()
+    keys += tuple(s for s in dict.fromkeys(forms) if s not in keys)
+    w = max([1.0] + [1.0 / abs(1.0 - s) for s in screened if s != 0.0 and s != 1.0])
+    order = np.array([keys.index(s) for s in forms])
+    order.flags.writeable = False  # shared by every call with these s_values
+    return screened, keys, w, order
 
-    Returns the kept positions, the rows K_s on them (one per s in ``screened``)
-    and the (maximum, first position) of K_2 and K_-1 keyed by s, which the
-    screen computes in full anyway.
 
-    B = max(K_2, K_-1) bounds every K_s (see the module docstring), and t, the
-    smallest over ``screened`` of the larger K_s at the argmaxes of K_2 and
-    K_-1, bounds each maximum from below.  A candidate with B < t is dropped
-    only with a margin that covers rounding, which matters only for near-tied
-    samples:
+def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals, pos) -> None:
+    """Each row's max of K_s, and its first position, for each s in ``screened``
+    (all in (-1, 2)), from the candidates that can reach it: into the first
+    len(``screened``) rows of ``vals`` and ``pos``, and those of K_2 and K_-1,
+    which the screen computes in full anyway, into the next two.  ``base`` holds
+    the offset of each row's run in the workspace.
+
+    B = max(K_2, K_-1) bounds every K_s (see the module docstring), and a row's
+    t, the smallest over ``screened`` of the larger K_s at the row's argmaxes of
+    K_2 and K_-1, bounds each of its maxima from below.  A candidate with B < t
+    is dropped only with a margin that covers rounding, which matters only for
+    near-tied samples:
     - 1e-9 relative covers B and the s = 1/2 form, sums of positive terms good
       to a few ulps, and the relative error the other forms take from L1 and
       L2, each good to a few ulps of |L1| <= 745: about 1e-12 after e^(s*L1);
@@ -308,49 +336,58 @@ def _screened(ws, screened: list[float]):
       2|d| + 2B, with |d| <= sqrt(B/2);
     - the expm1 form's terms are about -s*d and s*d, and their sum is divided
       by s(1-s), so it errs up to 1/|1-s| times as much as the log forms: the
-      margin is widened by the largest such factor above 1.
-    A non-finite t drops nothing.  So each max, and its first position, are
-    exact.
+      margin is widened by w, the largest such factor above 1.
+    A row whose t is not finite drops nothing.  So each max, and its first
+    position, are exact.
     """
     uu, cu, vv, cv, d, out, a, b = ws
+    r, j = base.size, len(screened)
+    m = vv.size // r
     k2 = _k_into(2.0, *ws)
     kn = _k_into(-1.0, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
-    top = np.array([k2.argmax(), kn.argmax()])
-    best = {2.0: (k2.item(top[0]), top.item(0)), -1.0: (kn.item(top[1]), top.item(1))}
+    top = pos[j : j + 2]  # first argmax of K_2 and K_-1 in each run
+    k2.reshape(r, m).argmax(axis=1, out=top[0])
+    kn.reshape(r, m).argmax(axis=1, out=top[1])
+    top += base
+    vals[j], vals[j + 1] = k2[top[0]], kn[top[1]]
     bound = np.maximum(k2, kn, out=out)
-    t = max(float(_k_at(top, ws, screened).max(axis=1).min()), 0.0)
-    w = max([1.0] + [1.0 / abs(1.0 - s) for s in screened if s != 0.0 and s != 1.0])
-    keep = bound >= (t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf)
+    ts = _k_at(top.ravel(), ws, screened).reshape(j, 2, r).max(axis=1).min(axis=0)
+    lim = [t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf
+           for t in (max(x, 0.0) for x in ts.tolist())]
+    keep = (bound.reshape(r, m) >= np.array(lim)[:, None]).ravel()
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
-    (kept,) = keep.nonzero()
-    return kept, _k_at(kept, ws, screened), best
+    (kept,) = keep.nonzero()  # run by run, each run in order
+    ks = _k_at(kept, ws, screened)
+    starts = kept.searchsorted(base)  # every run keeps its tops
+    np.maximum.reduceat(ks, starts, axis=1, out=vals[:j])
+    # the first position of a run's max is its least kept position not below it
+    below = ks < vals[:j].take(kept // m, axis=1)
+    np.minimum.reduceat(np.where(below, vv.size, kept), starts, axis=1, out=pos[:j])
+    pos[: j + 2] -= base
 
 
-def _sup(values: np.ndarray, s_values: list[float]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """S_n(s) for each s in ``s_values`` on one sorted array, and the first
-    candidate position of each maximum: the one choice of full pass or screen.
-    ``d`` is shared across all s; every s in (-1, 2) goes through one screen,
-    which also yields S_n(2) and S_n(-1), and any other s makes a full pass.  No
-    checks: the table builder runs it millions of times.
+def _sup(rows: np.ndarray, s_values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """S_n(s) for each s in ``s_values`` on each sorted row of the (R, n) stack
+    ``rows``, and the first candidate position of each maximum, both shaped
+    (len(s_values), R): the one choice of full pass or screen.  ``d`` is shared
+    across all s; every s in (-1, 2) goes through one screen, which also yields
+    S_n(2) and S_n(-1), and any other s makes a full pass.  Each row has its own
+    threshold and maxima, so its results do not depend on the stack it is in.
+    No checks: the table builder runs it millions of times.
     """
-    ws = _workspace(values)
-    forms = [_kernel_s(s) for s in s_values]
-    screened = [s for s in forms if -1.0 < s < 2.0]
-    screened.sort(key=lambda s: s != 0.0 and s != 1.0)  # log forms first: see _k_at
-    best = {}  # kernel s -> (max K_s as a Python float, its first position)
+    ws = _workspace(rows)
+    r = len(rows)
+    base = np.arange(0, ws[0].size, ws[0].size // r)
+    screened, keys, w, order = _plan(tuple(s_values))
+    vals, pos = np.empty((len(keys), r)), np.empty((len(keys), r), dtype=np.intp)
     if screened:
-        kept, ks, best = _screened(ws, screened)
-        for s, k in zip(screened, ks):
-            p = int(k.argmax())
-            best[s] = (k.item(p), kept.item(p))
-    for s in forms:
-        if s not in best:
-            k = _k_into(s, *ws)
-            p = int(k.argmax())
-            best[s] = (k.item(p), p)
-    vals, pos = zip(*[best[s] for s in forms])
+        _screened(ws, base, screened, w, vals, pos)
+    for i in range(len(screened) + 2 if screened else 0, len(keys)):
+        k = _k_into(keys[i], *ws)
+        k.reshape(r, -1).argmax(axis=1, out=pos[i])
+        vals[i] = k[pos[i] + base]
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
-    return np.array([max(v, 0.0) + 0.0 for v in vals]), pos
+    return np.maximum(vals.take(order, axis=0), 0.0) + 0.0, pos.take(order, axis=0)
 
 
 def sup_statistic(sample: SortedPValueSample, s: float) -> DivergenceStatistic:
@@ -365,10 +402,11 @@ def sup_statistic(sample: SortedPValueSample, s: float) -> DivergenceStatistic:
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     with np.errstate(over="ignore"):
-        (value,), (pos,) = _sup(sample.values, [_finite_s(s)])
+        vals, poss = _sup(sample.values[None], [_finite_s(s)])
+    value, pos = vals.item(), poss.item()
     m = sample.n - 1
     rank, side = (pos + 1, EndpointSide.LEFT) if pos < m else (pos - m + 1, EndpointSide.RIGHT)
-    return DivergenceStatistic(value=float(value), argmax_index=rank, argmax_side=side)
+    return DivergenceStatistic(value=value, argmax_index=rank, argmax_side=side)
 
 
 def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
@@ -376,7 +414,7 @@ def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     with np.errstate(over="ignore"):
-        return _sup(sample.values, [_finite_s(s) for s in s_values])[0]
+        return _sup(sample.values[None], [_finite_s(s) for s in s_values])[0][:, 0]
 
 
 def z_sup(sample: SortedPValueSample, a: float, b: float) -> float:

@@ -303,11 +303,6 @@ class BoundaryComparison:
     error_sums: tuple[float, ...]
     lr_error_sum: float
 
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        """error_sum(s) - error_sum(LR), per s; nonnegative up to MC noise."""
-        return tuple(e - self.lr_error_sum for e in self.error_sums)
-
 
 def boundary_comparison(
     spec: MixtureSpec,

@@ -311,9 +311,16 @@ def location_gumbel_family() -> ExponentialFamily:
 def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
     """Frechet(shape) base tilted by T(x) = -x^{-shape}: scale (1+theta)^{1/shape}."""
     a = float(shape)
+
+    def tilted(th: float) -> Frechet:
+        try:
+            return Frechet(a, (1.0 + th) ** (1.0 / a))
+        except OverflowError:
+            raise DomainError(f"scale-frechet(shape={a:g}) at theta={th:g}: the tilted scale "
+                              "(1+theta)^(1/shape) overflows") from None
+
     return ExponentialFamily(Frechet(a, 1.0), lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
-                             name=f"scale-frechet(shape={a:g})",
-                             tilted=lambda th: Frechet(a, (1.0 + th) ** (1.0 / a)),
+                             name=f"scale-frechet(shape={a:g})", tilted=tilted,
                              signal_tail="upper")
 
 

@@ -26,11 +26,12 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from ._rand import RNG_ID, _pool_map, replicate_rng, uniform_open
+from ._rand import RNG_ID, _pool_map, _replicate_rngs, uniform_open
 from .divergence import _finite_s, _sup
 from .errors import CacheCorruptionError, DomainError
 
@@ -119,15 +120,24 @@ class CalibrationTable:
         )
 
 
+#: Candidates per kernel call in the table builder: it stacks its replicates
+#: max(1, _STACK_CANDIDATES // (2(n-1))) rows at a time, 16 at n = 1000, so
+#: small-n builds pay numpy's per-call overhead once per stack.
+_STACK_CANDIDATES = 1 << 15
+
+
 def _null_stats_block(n: int, s_list: list[float], seed: int, reps: range) -> np.ndarray:
     """Statistics for the replicates in ``reps`` — position-independent by the
-    substream contract, so any chunking across workers yields the same rows."""
+    substream contract, and ``_sup`` treats each row of a stack alone, so any
+    chunking across workers or stacks yields the same rows."""
     rn = centering_offset(n)
+    height = max(1, _STACK_CANDIDATES // (2 * n - 2))
     out = np.empty((len(s_list), len(reps)), dtype=np.float64)
-    for k, rep in enumerate(reps):
-        u = uniform_open(replicate_rng(seed, rep), n)
-        u.sort()
-        out[:, k] = n * _sup(u, s_list)[0] - rn
+    rngs = _replicate_rngs(seed, reps)
+    for lo in range(0, len(reps), height):
+        stack = np.array([uniform_open(rng, n) for rng in islice(rngs, height)])
+        stack.sort(axis=1)
+        out[:, lo : lo + len(stack)] = n * _sup(stack, s_list)[0] - rn
     return out
 
 

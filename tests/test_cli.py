@@ -500,6 +500,16 @@ def test_cmd_diagnose_errors(capsys, tmp_path):
         assert code == 2 and out == "" and "frechet" in err
 
 
+def test_cmd_diagnose_reports_an_overflowing_frechet_tilt(capsys, tmp_path):
+    # theta = n^r = 1e5 and shape 0.01: the tilted scale (1 + theta)^100 is not a float
+    ini = tmp_path / "frechet.ini"
+    ini.write_text("[model]\nfamily = scale-frechet\nshape = 0.01\n"
+                   "beta = 0.6\nr = 1\nn = 100000\n")
+    code, out, err = _run(capsys, ["diagnose", "--model-config", ini])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflows" in err
+
+
 def test_cmd_diagnose_rejects_a_regime_the_family_lacks(capsys, tmp_path):
     ini = tmp_path / "model.ini"
     ini.write_text("[model]\nfamily = normal\nregime = dense\nshape = 3\n"

@@ -32,6 +32,8 @@ from phidetect import (
     uniform_open,
     z_sup,
 )
+from phidetect import divergence
+from phidetect.divergence import _sup
 
 S_GRID = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
 
@@ -495,22 +497,77 @@ def _screen_samples():
         yield np.array([0.5 - delta, 0.5 + delta * (1.0 + 10.0 ** rng.uniform(-8, -2))])
 
 
+def _full_candidate_reference(values: np.ndarray, s: float) -> tuple[float, int]:
+    """max(K_s, 0) over all 2(n-1) candidates through ``kappa``, and its first position."""
+    n = values.size
+    k = kappa(s, np.tile(np.arange(1, n) / n, 2), np.concatenate([values[:-1], values[1:]]))
+    return max(float(k.max()), 0.0) + 0.0, int(np.argmax(k))
+
+
 def test_screened_berk_jones_max_equals_the_full_candidate_max():
     for values in _screen_samples():
         n = values.size
         sample = SortedPValueSample(values)
-        uu = np.tile(np.arange(1, n) / n, 2)
-        vv = np.concatenate([values[:-1], values[1:]])
         got = sup_statistic_values(sample, SCREENED_S)
         for s, g in zip(SCREENED_S, got):
-            k = kappa(s, uu, vv)
-            want = max(float(k.max()), 0.0) + 0.0
+            want, pos = _full_candidate_reference(values, s)
             assert g == want, (n, s, values[:2])
-            pos = int(np.argmax(k))
             st = sup_statistic(sample, s)
             assert (st.value, st.argmax_index, st.argmax_side) == (
                 want, pos % (n - 1) + 1, EndpointSide.LEFT if pos < n - 1 else EndpointSide.RIGHT
             ), (n, s, values[:2])
+
+
+def _stacks():
+    """The screen samples stacked by n, in both orders, so a floor row (huge t)
+    sits before and after a uniform row; the near-tied pairs as one stack."""
+    by_n = {}
+    for values in _screen_samples():
+        by_n.setdefault(values.size, []).append(values)
+    for n, rows in by_n.items():
+        if n == 2:  # the near-tied pairs and the n=2 samples of each kind
+            yield np.array(rows[5:])
+            rows = rows[:5]
+        yield np.array(rows)
+        yield np.array(rows[::-1])
+
+
+def test_stacked_kernel_equals_its_rows_and_the_full_candidate_max():
+    s_values = [*SCREENED_S, 2.0, -1.0, 3.0, -1.5]
+    for stack in _stacks():
+        with np.errstate(over="ignore"):  # as the public wrappers run it
+            vals, pos = _sup(stack, s_values)
+            rows = [_sup(row[None], s_values) for row in stack]
+        assert vals.shape == pos.shape == (len(s_values), len(stack))
+        for j, (row, (one_vals, one_pos)) in enumerate(zip(stack, rows)):
+            assert np.array_equal(vals[:, j], one_vals[:, 0]), (stack.shape, j)
+            assert np.array_equal(pos[:, j], one_pos[:, 0]), (stack.shape, j)
+            for s, v, p in zip(s_values, vals[:, j], pos[:, j]):
+                assert (v, p) == _full_candidate_reference(row, s), (stack.shape, j, s)
+
+
+def test_a_row_whose_threshold_is_not_finite_keeps_every_candidate(monkeypatch):
+    # at a subnormal p-value K_2 and K_(2-1e-9) are infinite, so the screen's t is too
+    n = 50
+    uniform = np.sort(uniform_open(replicate_rng(36, 0), n))
+    subnormal = uniform.copy()
+    subnormal[:3] = 5e-324
+    stack = np.array([uniform, subnormal, uniform])
+    gathered = []
+    real_k_at = divergence._k_at
+    monkeypatch.setattr(divergence, "_k_at",
+                        lambda pos, *args: gathered.append(pos.copy()) or real_k_at(pos, *args))
+    s_values = [2.0 - 1e-9, 2.0]
+    with np.errstate(over="ignore"):
+        vals, pos = _sup(stack, s_values)
+    kept = gathered[-1]
+    m = 2 * (n - 1)
+    assert set(range(m, 2 * m)) <= set(kept.tolist())  # the subnormal row: all of it
+    assert len(kept) < 3 * m  # the uniform rows beside it still screen
+    assert vals[0, 1] == math.inf
+    for j, row in enumerate(stack):
+        for i, s in enumerate(s_values):
+            assert (vals[i, j], pos[i, j]) == _full_candidate_reference(row, s), (j, s)
 
 
 def _brute_force_sup(values: np.ndarray, s: float, points_per_interval: int = 4097) -> float:

@@ -12,6 +12,7 @@ from phidetect import (
     CalibrationTable,
     DomainError,
     RNG_ID,
+    SortedPValueSample,
     cache_load,
     cache_path,
     cache_store,
@@ -20,6 +21,9 @@ from phidetect import (
     ensure_tables,
     gumbel_quantile,
     mc_null_tables,
+    replicate_rng,
+    sup_statistic_values,
+    uniform_open,
 )
 import phidetect.nulldist as nulldist
 from phidetect.nulldist import CACHE_VERSION, critical_from_sorted, pvalue_from_sorted
@@ -91,6 +95,26 @@ def test_mc_table_worker_count_invariance():
         a = mc_null_tables(200, [0.5], reps, 4242, workers=1)[0]
         b = mc_null_tables(200, [0.5], reps, 4242, workers=3)[0]
         np.testing.assert_array_equal(a.sorted_stats, b.sorted_stats)
+
+
+def test_tables_do_not_depend_on_how_replicates_are_stacked():
+    # 101 reps: chunks of 26 (workers=1) or 13 (workers=2), each a stack of up to
+    # 16 rows at n=1000 and one stack at smaller n; the reference takes one replicate
+    # at a time from its own fresh generator
+    s_values = [-1.0, 0.0, 0.5, 1.0, 2.0]
+    for n in (2, 3, 50, 1000):
+        rn = centering_offset(n)
+        want = np.sort(np.array([
+            n * sup_statistic_values(
+                SortedPValueSample.from_values(uniform_open(replicate_rng(606, rep), n)), s_values
+            ) - rn
+            for rep in range(101)
+        ]), axis=0)
+        serial = mc_null_tables(n, s_values, 101, 606, workers=1)
+        for j, table in enumerate(serial):
+            assert np.array_equal(table.sorted_stats, want[:, j]), (n, table.s)
+        for a, b in zip(serial, mc_null_tables(n, s_values, 101, 606, workers=2)):
+            assert a.equals(b), (n, a.s)
 
 
 def test_mc_table_domain_checks():

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from phidetect import RNG_ID, replicate_rng, stable_seed, uniform_open
+from phidetect._rand import _replicate_rngs
 
 
 def test_rng_id_pins_the_scheme():
@@ -23,6 +24,25 @@ def test_replicate_streams_do_not_overlap():
     np.testing.assert_array_equal(fresh, replicate_rng(5, 1).random(50))
     firsts = [replicate_rng(5, j).random() for j in range(50)]
     assert len(set(firsts)) == 50
+
+
+def _draws(rng) -> list:
+    # 64-bit, 32-bit and double draws in odd counts: each leaves part of a Philox
+    # block (four 64-bit words) or half a word behind for the next replicate
+    return [rng.integers(0, 7, size=3, dtype=np.int32), rng.random(5),
+            uniform_open(rng, 7), rng.integers(1, 1 << 53, size=1)]
+
+
+def test_reused_replicate_stream_draws_what_replicate_rng_draws():
+    # 2^64 is the first replicate whose counter block needs word 3
+    assert replicate_rng(3, 2**64).bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 1]
+    reps = [0, 1, 2**64 - 1, 2**64, 1, 0, 2**64]
+    seen = 0
+    for rep, rng in zip(reps, _replicate_rngs(3, reps)):
+        for got, want in zip(_draws(rng), _draws(replicate_rng(3, rep))):
+            np.testing.assert_array_equal(got, want)
+        seen += 1
+    assert seen == len(reps)
 
 
 def test_replicate_index_validation():
