@@ -11,8 +11,6 @@ boundaries, power experiments, and a CLI sit on top.
 from .errors import CacheCorruptionError, DomainError
 from ._rand import RNG_ID, replicate_rng, stable_seed, uniform_open
 from .divergence import (
-    DivergenceStatistic,
-    EndpointSide,
     SortedPValueSample,
     kappa,
     phi,

@@ -1,10 +1,11 @@
 """Deterministic random-stream plumbing.
 
-Every Monte-Carlo routine in the package derives an independent generator per
-replicate from ``(master seed, replicate index)`` using the counter-based
-Philox bit generator.  Replicate streams therefore do not depend on how work
-is chunked across processes, which is what makes results reproducible
-bit-for-bit regardless of worker count.
+Each Monte-Carlo replicate draws from its own block of the counter-based
+Philox stream of ``(master seed, replicate index)``: the null tables and power
+cells through one reused generator (``_replicate_rngs``), the rest through
+``replicate_rng``.  Replicate streams therefore do not depend on how work is
+chunked across processes or stacks, which makes results bit-for-bit
+reproducible regardless of worker count.
 """
 
 from __future__ import annotations

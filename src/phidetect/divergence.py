@@ -38,7 +38,8 @@ choice is written).  This stays accurate as u -> v (relative error
 O(eps/|d|) instead of O(eps/d**2) for the textbook form).  Where e^(s*L1)
 overflows before the scaling by v (s > 1, v near the floor), v*expm1(s*L1) is
 recomputed as exp(s*log(u) + (1-s)*log(v)), so every K_s with s < 2 is finite
-at the floor.
+at the floor.  Where d/v itself overflows (a subnormal v), L1 is recomputed as
+log(u) - log(v) in the same way.
 
 Screen for every s in (-1, 2).  With c = (1-u)/(1-v), d/dv K_s(u, v) =
 (c**s - (u/v)**s)/s and K_s(u, u) = 0, so ::
@@ -56,9 +57,9 @@ result is bit-identical to a full pass.  Outside [-1, 2] the bound fails
 those s make a full pass.
 
 ``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
-one-row stack) and the null-table builder (stacks of replicates).  Overflow
-(K_s = inf near p = 0) is silenced by ``np.errstate`` in ``sup_statistic`` and
-``sup_statistic_values`` only.
+one-row stack) and the Monte-Carlo loop of null tables and power cells (stacks
+of replicates, ``nulldist._mc_stats``).  Overflow (K_s = inf near p = 0) is
+silenced by ``np.errstate`` in ``sup_statistic_values`` and that loop only.
 
 Workspace: ``_sup`` takes R sorted samples of one n as the rows of an (R, n)
 stack, and their candidates live in reused buffers of R runs of 2(n-1), no
@@ -66,16 +67,16 @@ concatenation: the left half of a run holds the left endpoints (i/n, X_{i:n}),
 the right half the right endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and
 ``1-uu`` are built once per n; each row is copied into its run of ``vv``, then
 ``1-vv``, ``d`` and K_s are written in place for the whole stack, so a stack
-pays numpy's per-call overhead once.  Every reduction (argmax, the screen's
-threshold and kept set, each max) stays within a run, so a row's results do
-not depend on its stack.  Each thread keeps one workspace, for its last n and
-the most rows it has held (numpy releases the GIL, so a shared one would
-race); no view of it outlives a call.
+pays numpy's per-call overhead once.  Every reduction (the screen's argmaxes,
+threshold and kept set, each max) stays within a run, so a row's values do
+not depend on its stack; only values come out, not where a max sits.  Each
+thread keeps one workspace, for its last n and the most rows it has held
+(numpy releases the GIL, so a shared one would race); no view of it outlives
+a call.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import threading
@@ -88,8 +89,6 @@ from .errors import DomainError
 __all__ = [
     "S_REGIME_TOL",
     "SortedPValueSample",
-    "EndpointSide",
-    "DivergenceStatistic",
     "phi",
     "kappa",
     "sup_statistic",
@@ -154,22 +153,6 @@ class SortedPValueSample:
         return int(self.values.size)
 
 
-class EndpointSide(enum.Enum):
-    """Which endpoint of the argmax interval attained the supremum."""
-
-    LEFT = "left"
-    RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class DivergenceStatistic:
-    """Value and location of S_n(s) = sup K_s(F_n(x), x)."""
-
-    value: float
-    argmax_index: int  # interval rank i in 1..n-1
-    argmax_side: EndpointSide
-
-
 def phi(s: float, x) -> float | np.ndarray:
     """Evaluate the convex generator phi_s at x >= 0.
 
@@ -205,9 +188,9 @@ def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.n
     The log and expm1 forms first fill them with L1 = log(u/v),
     L2 = log((1-u)/(1-v)), unless ``logs`` says they hold them already; s = 0
     and s = 1 leave them intact, so one fill serves both and an expm1 form
-    after them.  Samples reach it only through ``_sup``; its public wrappers,
-    and ``kappa``, silence overflow, so the table builder's inner loop pays
-    for no ``errstate``.
+    after them.  Samples reach it only through ``_sup``; its callers, and
+    ``kappa``, silence overflow once per call or per loop, so the stacked
+    replicate loop's kernel calls pay for no ``errstate``.
     """
     if s == 2.0 or s == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
         w, cw = (v, cv) if s == 2.0 else (u, cu)
@@ -223,6 +206,9 @@ def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.n
         return np.add(out, out, out=out)
     if not logs:
         np.log1p(np.divide(d, v, out=a), out=a)
+        if a.max(initial=0.0) == math.inf:  # d/v overflowed: v is subnormal
+            big = a == math.inf
+            a[big] = np.log(u[big]) - np.log(v[big])
         np.log1p(np.divide(np.negative(d, out=b), cv, out=b), out=b)
     if s == 0.0:
         np.multiply(v, a, out=out)
@@ -316,12 +302,12 @@ def _plan(s_values: tuple[float, ...]):
     return screened, keys, w, order
 
 
-def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals, pos) -> None:
-    """Each row's max of K_s, and its first position, for each s in ``screened``
-    (all in (-1, 2)), from the candidates that can reach it: into the first
-    len(``screened``) rows of ``vals`` and ``pos``, and those of K_2 and K_-1,
-    which the screen computes in full anyway, into the next two.  ``base`` holds
-    the offset of each row's run in the workspace.
+def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals) -> None:
+    """Each row's max of K_s for each s in ``screened`` (all in (-1, 2)), from
+    the candidates that can reach it: into the first len(``screened``) rows of
+    ``vals``, and those of K_2 and K_-1, which the screen computes in full
+    anyway, into the next two.  ``base`` holds the offset of each row's run in
+    the workspace.
 
     B = max(K_2, K_-1) bounds every K_s (see the module docstring), and a row's
     t, the smallest over ``screened`` of the larger K_s at the row's argmaxes of
@@ -337,18 +323,15 @@ def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals,
     - the expm1 form's terms are about -s*d and s*d, and their sum is divided
       by s(1-s), so it errs up to 1/|1-s| times as much as the log forms: the
       margin is widened by w, the largest such factor above 1.
-    A row whose t is not finite drops nothing.  So each max, and its first
-    position, are exact.
+    A row whose t is not finite drops nothing.  So each max is exact.
     """
     uu, cu, vv, cv, d, out, a, b = ws
     r, j = base.size, len(screened)
     m = vv.size // r
     k2 = _k_into(2.0, *ws)
     kn = _k_into(-1.0, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
-    top = pos[j : j + 2]  # first argmax of K_2 and K_-1 in each run
-    k2.reshape(r, m).argmax(axis=1, out=top[0])
-    kn.reshape(r, m).argmax(axis=1, out=top[1])
-    top += base
+    top = np.stack((k2.reshape(r, m).argmax(axis=1), kn.reshape(r, m).argmax(axis=1)))
+    top += base  # each run's argmax of K_2 and K_-1
     vals[j], vals[j + 1] = k2[top[0]], kn[top[1]]
     bound = np.maximum(k2, kn, out=out)
     ts = _k_at(top.ravel(), ws, screened).reshape(j, 2, r).max(axis=1).min(axis=0)
@@ -357,64 +340,49 @@ def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals,
     keep = (bound.reshape(r, m) >= np.array(lim)[:, None]).ravel()
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
     (kept,) = keep.nonzero()  # run by run, each run in order
-    ks = _k_at(kept, ws, screened)
     starts = kept.searchsorted(base)  # every run keeps its tops
-    np.maximum.reduceat(ks, starts, axis=1, out=vals[:j])
-    # the first position of a run's max is its least kept position not below it
-    below = ks < vals[:j].take(kept // m, axis=1)
-    np.minimum.reduceat(np.where(below, vv.size, kept), starts, axis=1, out=pos[:j])
-    pos[: j + 2] -= base
+    np.maximum.reduceat(_k_at(kept, ws, screened), starts, axis=1, out=vals[:j])
 
 
-def _sup(rows: np.ndarray, s_values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
     """S_n(s) for each s in ``s_values`` on each sorted row of the (R, n) stack
-    ``rows``, and the first candidate position of each maximum, both shaped
-    (len(s_values), R): the one choice of full pass or screen.  ``d`` is shared
-    across all s; every s in (-1, 2) goes through one screen, which also yields
-    S_n(2) and S_n(-1), and any other s makes a full pass.  Each row has its own
-    threshold and maxima, so its results do not depend on the stack it is in.
-    No checks: the table builder runs it millions of times.
+    ``rows``, shaped (len(s_values), R): the one choice of full pass or screen.
+    ``d`` is shared across all s; every s in (-1, 2) goes through one screen,
+    which also yields S_n(2) and S_n(-1), and any other s makes a full pass.
+    Each row has its own threshold and maxima, so its values do not depend on
+    the stack it is in.  No checks: the Monte-Carlo loop runs it millions of
+    times.
     """
     ws = _workspace(rows)
     r = len(rows)
     base = np.arange(0, ws[0].size, ws[0].size // r)
     screened, keys, w, order = _plan(tuple(s_values))
-    vals, pos = np.empty((len(keys), r)), np.empty((len(keys), r), dtype=np.intp)
+    vals = np.empty((len(keys), r))
     if screened:
-        _screened(ws, base, screened, w, vals, pos)
+        _screened(ws, base, screened, w, vals)
     for i in range(len(screened) + 2 if screened else 0, len(keys)):
-        k = _k_into(keys[i], *ws)
-        k.reshape(r, -1).argmax(axis=1, out=pos[i])
-        vals[i] = k[pos[i] + base]
+        _k_into(keys[i], *ws).reshape(r, -1).max(axis=1, out=vals[i])
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
-    return np.maximum(vals.take(order, axis=0), 0.0) + 0.0, pos.take(order, axis=0)
+    return np.maximum(vals.take(order, axis=0), 0.0) + 0.0
 
 
-def sup_statistic(sample: SortedPValueSample, s: float) -> DivergenceStatistic:
+def sup_statistic(sample: SortedPValueSample, s: float) -> float:
     """S_n(s): supremum of K_s(F_n(x), x) over the observation range.
 
     Exact endpoint evaluation: the maximum over each of the n-1 constancy
     intervals of F_n is attained at an interval endpoint (convexity in v),
     so the result is ``max over i of max{K_s(i/n, X_{i:n}), K_s(i/n,
-    X_{i+1:n})}``.  Ties between candidates resolve to the smallest interval
-    index, left endpoint first.
+    X_{i+1:n})}``.
     """
-    if sample.n < 2:
-        raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
-    with np.errstate(over="ignore"):
-        vals, poss = _sup(sample.values[None], [_finite_s(s)])
-    value, pos = vals.item(), poss.item()
-    m = sample.n - 1
-    rank, side = (pos + 1, EndpointSide.LEFT) if pos < m else (pos - m + 1, EndpointSide.RIGHT)
-    return DivergenceStatistic(value=value, argmax_index=rank, argmax_side=side)
+    return float(sup_statistic_values(sample, [s])[0])
 
 
 def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
-    """S_n(s) for several s at once (values only, shared candidate scan)."""
+    """S_n(s) for several s at once, from one candidate scan."""
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     with np.errstate(over="ignore"):
-        return _sup(sample.values[None], [_finite_s(s) for s in s_values])[0][:, 0]
+        return _sup(sample.values[None], [_finite_s(s) for s in s_values])[:, 0]
 
 
 def z_sup(sample: SortedPValueSample, a: float, b: float) -> float:

@@ -6,9 +6,10 @@ of (beta, r, s, n) cells; each cell gets its own seed derived by a stable
 hash of the master seed and the cell coordinates, and every replicate uses
 an independent counter-based substream, so results are byte-identical for a
 given configuration regardless of worker count or execution order.  A cell
-draws each replicate on the p-value scale: the noise p-values are the open
-uniforms themselves and only signal points go through F_0, so its statistics
-match the public ``sample_mixture`` + ``to_pvalues`` route to about 1e-12.
+runs the null tables' stacked replicate loop (``nulldist._mc_stats``) on the
+p-value scale: the noise p-values are the open uniforms themselves and only
+signal points go through F_0, so its statistics match the public
+``sample_mixture`` + ``to_pvalues`` route to about 1e-12.
 
 ``run_lr_test`` is the Neyman-Pearson benchmark in zero-threshold form
 (reject iff the posterior likelihood favours the mixture), the form whose
@@ -22,6 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import DomainError
 from .models import MixtureSpec, _sample_pvalues, mixture_family, sample_mixture, to_pvalues
 from .nulldist import (
     CalibrationTable,
+    _mc_stats,
     atomic_write_text,
     centering_offset,
     critical_from_sorted,
@@ -83,7 +86,7 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99) -> tupl
 
 def scaled_statistic(sample: SortedPValueSample, s: float) -> float:
     """n*S_n(s) - r_n, the scale every calibration table is built on."""
-    return sample.n * sup_statistic(sample, s).value - centering_offset(sample.n)
+    return sample.n * sup_statistic(sample, s) - centering_offset(sample.n)
 
 
 def scaled_statistics(sample: SortedPValueSample, s_values) -> np.ndarray:
@@ -242,8 +245,8 @@ def _run_cell(config: PowerGridConfig, coords: tuple[float, float, float, int],
         fam = mixture_family(config.family, regime=config.regime,
                              **dict(config.family_params))
         spec = MixtureSpec(fam, beta, r, n, epsilon_override=config.epsilon_override)
-        rejects = sum(scaled_statistic(_sample_pvalues(spec, replicate_rng(seed, j)), s) > crit
-                      for j in range(config.reps))
+        stats = _mc_stats(n, [s], seed, range(config.reps), partial(_sample_pvalues, spec))
+        rejects = int(np.count_nonzero(stats[0] > crit))
     except Exception as exc:
         return PowerResult(
             config.family, beta, r, s, n, config.alpha, config.reps, seed,
@@ -331,6 +334,8 @@ def boundary_comparison(
         )
     if reps < 1:
         raise DomainError("reps must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must be in (0, 1)")
     s_list = [float(s) for s in s_values]
     tseed = _table_seed(seed, table_seed)
     tables = ensure_tables(cache_dir, spec.n, s_list, table_reps, tseed, workers=workers)

@@ -537,12 +537,10 @@ def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:
     return data, x.size
 
 
-def _sample_pvalues(spec: MixtureSpec, rng) -> SortedPValueSample:
-    """The sorted p-values of one ``_draw``: noise uniforms as drawn, signal via F_0."""
+def _sample_pvalues(spec: MixtureSpec, rng) -> np.ndarray:
+    """The p-values of one ``_draw``, unsorted: noise uniforms as drawn, signal via F_0."""
     _, u, x = _draw(spec, rng)
-    p = np.concatenate((u, _pit(x, spec.noise)))
-    p.sort()
-    return SortedPValueSample(p)
+    return np.concatenate((u, _pit(x, spec.noise)))
 
 
 def _pit(x: np.ndarray, noise: Distribution) -> np.ndarray:

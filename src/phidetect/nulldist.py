@@ -120,24 +120,27 @@ class CalibrationTable:
         )
 
 
-#: Candidates per kernel call in the table builder: it stacks its replicates
+#: Candidates per kernel call in the Monte-Carlo loop: it stacks its replicates
 #: max(1, _STACK_CANDIDATES // (2(n-1))) rows at a time, 16 at n = 1000, so
-#: small-n builds pay numpy's per-call overhead once per stack.
+#: small-n tables and power cells pay numpy's per-call overhead once per stack.
 _STACK_CANDIDATES = 1 << 15
 
 
-def _null_stats_block(n: int, s_list: list[float], seed: int, reps: range) -> np.ndarray:
-    """Statistics for the replicates in ``reps`` — position-independent by the
-    substream contract, and ``_sup`` treats each row of a stack alone, so any
-    chunking across workers or stacks yields the same rows."""
+def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.ndarray:
+    """n*S_n(s) - r_n, shaped (len(s_list), len(reps)), on the sorted n-row
+    ``draw(rng)`` of each replicate in ``reps`` (``rng``: its substream of
+    ``seed``): the one Monte-Carlo statistics loop, of null tables and power
+    cells.  By the substream contract, and as ``_sup`` treats each row of a
+    stack alone, any chunking across workers or stacks gives the same values."""
     rn = centering_offset(n)
     height = max(1, _STACK_CANDIDATES // (2 * n - 2))
     out = np.empty((len(s_list), len(reps)), dtype=np.float64)
     rngs = _replicate_rngs(seed, reps)
-    for lo in range(0, len(reps), height):
-        stack = np.array([uniform_open(rng, n) for rng in islice(rngs, height)])
-        stack.sort(axis=1)
-        out[:, lo : lo + len(stack)] = n * _sup(stack, s_list)[0] - rn
+    with np.errstate(over="ignore"):  # K_s = inf near p = 0
+        for lo in range(0, len(reps), height):
+            stack = np.array([draw(rng) for rng in islice(rngs, height)])
+            stack.sort(axis=1)
+            out[:, lo : lo + len(stack)] = n * _sup(stack, s_list) - rn
     return out
 
 
@@ -162,9 +165,8 @@ def mc_null_tables(
     s_list = [_finite_s(s) for s in s_values]
     chunk = -(-reps // (max(workers, 1) * 4))
     chunks = [range(a, min(a + chunk, reps)) for a in range(0, reps, chunk)]
-    stats = np.concatenate(
-        _pool_map(partial(_null_stats_block, n, s_list, seed), workers, chunks), axis=1
-    )
+    block = partial(_mc_stats, n, s_list, seed, draw=partial(uniform_open, size=n))
+    stats = np.concatenate(_pool_map(block, workers, chunks), axis=1)
     return [
         CalibrationTable(
             n=n, s=s, reps=reps, seed=seed, rng_id=RNG_ID, sorted_stats=np.sort(stats[j])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from phidetect import (
     DomainError,
-    EndpointSide,
     MixtureSpec,
     SortedPValueSample,
     ensure_tables,
@@ -97,7 +96,7 @@ def test_regime_switch_thresholds():
     sample = SortedPValueSample(np.array([0.01, 0.2, 0.35, 0.8, 0.95]))
 
     def values(s):
-        return (kappa(s, 0.3, 0.6), phi(s, math.e), sup_statistic(sample, s).value)
+        return (kappa(s, 0.3, 0.6), phi(s, math.e), sup_statistic(sample, s))
 
     for limit in (0.0, 1.0):
         assert values(limit + 9e-9) == values(limit)
@@ -295,10 +294,9 @@ def test_higher_criticism_is_finite_at_the_pvalue_floor():
         for i in range(1, n)
         for x in (values[i - 1], values[i])
     )
-    st = sup_statistic(SortedPValueSample(np.array(values)), 2.0)
-    assert math.isfinite(st.value)
-    assert abs(Fraction(st.value) - want) <= Fraction(2e-15) * want
-    assert (st.argmax_index, st.argmax_side) == (1, EndpointSide.LEFT)
+    got = sup_statistic(SortedPValueSample(np.array(values)), 2.0)
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - want) <= Fraction(2e-15) * want
 
 
 def test_overflow_at_the_pvalue_floor_is_inf_and_silent_on_every_route():
@@ -306,7 +304,7 @@ def test_overflow_at_the_pvalue_floor_is_inf_and_silent_on_every_route():
     sample = SortedPValueSample(np.array([1e-300, 0.3, 0.6, 0.9]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [sup_statistic(sample, 3.0).value, sup_statistic_values(sample, [3.0])[0],
+        got = [sup_statistic(sample, 3.0), sup_statistic_values(sample, [3.0])[0],
                scaled_statistics(sample, [3.0])[0]]
     assert got == [math.inf] * 3
 
@@ -324,9 +322,29 @@ def test_members_below_two_are_finite_at_the_pvalue_floor():
             assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12), (s, u)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            st = sup_statistic(sample, s)
-        assert (st.value, st.argmax_index, st.argmax_side) == (
-            kappa(s, 0.25, 1e-300), 1, EndpointSide.LEFT)
+            got = sup_statistic(sample, s)
+        assert got == kappa(s, 0.25, 1e-300)
+
+
+def test_log_forms_are_finite_at_a_subnormal_pvalue():
+    # d/v overflows at v = 5e-324, which made K_1 inf and K_0 -inf
+    u, v = 0.02, 5e-324
+    lr, l2 = math.log(u) - math.log(v), math.log1p(-u)  # log(u/v), log((1-u)/(1-v))
+    want = {0.0: -v * lr - l2, 1.0: u * lr + (1.0 - u) * l2}
+    for s in (1.0 - 1e-6, 1.0 + 1e-6):  # K_s = (u e^((s-1)lr) + (1-u) e^((s-1)l2) - 1)/(s(s-1))
+        want[s] = (u * math.expm1((s - 1.0) * lr) + (1.0 - u) * math.expm1((s - 1.0) * l2)) / (
+            s * (s - 1.0))
+    for s, w in want.items():
+        assert kappa(s, u, v) == pytest.approx(w, rel=1e-9), s
+    assert want[1.0] == pytest.approx(14.79, abs=5e-3)
+    assert want[0.0] == pytest.approx(0.0202, rel=1e-3)
+    values = np.array([v, 0.3, 0.6])
+    s_values = [*want, *SCREENED_S]
+    got = sup_statistic_values(SortedPValueSample(values), s_values)
+    assert got[0] == pytest.approx(math.log(1.5), rel=1e-15)  # K_0(1/3, v) = -log(2/3) + O(v)
+    for s, g in zip(s_values, got):
+        assert g == _full_candidate_reference(values, s), s
+        assert math.isfinite(g) or s > 2.0 - 1e-8, s
 
 
 # --------------------------------------------------------------------------
@@ -336,11 +354,8 @@ def test_members_below_two_are_finite_at_the_pvalue_floor():
 def test_sup_worked_example_quarter_threequarter():
     sample = SortedPValueSample.from_values([0.25, 0.75])
     stat = sup_statistic(sample, 2.0)
-    assert stat.value == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert stat.argmax_index == 1
-    # both endpoints tie by symmetry; ties resolve to the left endpoint
-    assert stat.argmax_side is EndpointSide.LEFT
-    assert 2 * stat.value == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert stat == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert 2 * stat == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_sup_positive_off_diagonal():
@@ -349,7 +364,7 @@ def test_sup_positive_off_diagonal():
     vals = (np.arange(1, n + 1) - 0.3) / n
     sample = SortedPValueSample(vals)
     for s in S_GRID:
-        assert sup_statistic(sample, s).value > 0.0
+        assert sup_statistic(sample, s) > 0.0
 
 
 def test_sup_needs_two_observations():
@@ -380,7 +395,7 @@ def test_sample_validation():
 def test_sample_allows_ties():
     sample = SortedPValueSample(np.array([0.3, 0.3, 0.8]))
     for s in S_GRID:
-        assert np.isfinite(sup_statistic(sample, s).value)
+        assert np.isfinite(sup_statistic(sample, s))
 
 
 FIVE_S = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -391,7 +406,7 @@ def test_tied_sample_statistic_is_positive_zero():
     # path must report +0.0 (s = 0 and s = 0.5 produce -0.0 in the kernel)
     sample = SortedPValueSample(np.array([0.5, 0.5]))
     for s in FIVE_S:
-        for v in (sup_statistic(sample, s).value, scaled_statistic(sample, s),
+        for v in (sup_statistic(sample, s), scaled_statistic(sample, s),
                   sup_statistic_values(sample, [s])[0], scaled_statistics(sample, [s])[0]):
             assert v == 0.0 and math.copysign(1.0, v) == 1.0, (s, v)
 
@@ -400,9 +415,7 @@ def _kernel_bytes(n: int, rep: int) -> bytes:
     """sup_statistic, sup_statistic_values and kappa outputs at one n, as bytes."""
     sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(99, rep), n)))
     parts = [sup_statistic_values(sample, FIVE_S).tobytes()]
-    for s in FIVE_S:
-        st = sup_statistic(sample, s)
-        parts.append(f"{st.value!r},{st.argmax_index},{st.argmax_side.value}".encode())
+    parts += [repr(sup_statistic(sample, s)).encode() for s in FIVE_S]
     parts.append(kappa(2.0, sample.values[:, None], sample.values[None, :5]).tobytes())
     return b"|".join(parts)
 
@@ -466,7 +479,7 @@ def test_multi_s_matches_single(rng=np.random.default_rng(515)):
     for n in (2, 5, 40, 300):
         sample = SortedPValueSample.from_values(rng.uniform(size=n))
         batch = sup_statistic_values(sample, S_GRID)
-        singles = [sup_statistic(sample, s).value for s in S_GRID]
+        singles = [sup_statistic(sample, s) for s in S_GRID]
         np.testing.assert_array_equal(batch, np.asarray(singles))
 
 
@@ -497,11 +510,11 @@ def _screen_samples():
         yield np.array([0.5 - delta, 0.5 + delta * (1.0 + 10.0 ** rng.uniform(-8, -2))])
 
 
-def _full_candidate_reference(values: np.ndarray, s: float) -> tuple[float, int]:
-    """max(K_s, 0) over all 2(n-1) candidates through ``kappa``, and its first position."""
+def _full_candidate_reference(values: np.ndarray, s: float) -> float:
+    """max(K_s, 0) over all 2(n-1) candidates through ``kappa``."""
     n = values.size
     k = kappa(s, np.tile(np.arange(1, n) / n, 2), np.concatenate([values[:-1], values[1:]]))
-    return max(float(k.max()), 0.0) + 0.0, int(np.argmax(k))
+    return max(float(k.max()), 0.0) + 0.0
 
 
 def test_screened_berk_jones_max_equals_the_full_candidate_max():
@@ -510,12 +523,9 @@ def test_screened_berk_jones_max_equals_the_full_candidate_max():
         sample = SortedPValueSample(values)
         got = sup_statistic_values(sample, SCREENED_S)
         for s, g in zip(SCREENED_S, got):
-            want, pos = _full_candidate_reference(values, s)
+            want = _full_candidate_reference(values, s)
             assert g == want, (n, s, values[:2])
-            st = sup_statistic(sample, s)
-            assert (st.value, st.argmax_index, st.argmax_side) == (
-                want, pos % (n - 1) + 1, EndpointSide.LEFT if pos < n - 1 else EndpointSide.RIGHT
-            ), (n, s, values[:2])
+            assert sup_statistic(sample, s) == want, (n, s, values[:2])
 
 
 def _stacks():
@@ -536,14 +546,13 @@ def test_stacked_kernel_equals_its_rows_and_the_full_candidate_max():
     s_values = [*SCREENED_S, 2.0, -1.0, 3.0, -1.5]
     for stack in _stacks():
         with np.errstate(over="ignore"):  # as the public wrappers run it
-            vals, pos = _sup(stack, s_values)
+            vals = _sup(stack, s_values)
             rows = [_sup(row[None], s_values) for row in stack]
-        assert vals.shape == pos.shape == (len(s_values), len(stack))
-        for j, (row, (one_vals, one_pos)) in enumerate(zip(stack, rows)):
-            assert np.array_equal(vals[:, j], one_vals[:, 0]), (stack.shape, j)
-            assert np.array_equal(pos[:, j], one_pos[:, 0]), (stack.shape, j)
-            for s, v, p in zip(s_values, vals[:, j], pos[:, j]):
-                assert (v, p) == _full_candidate_reference(row, s), (stack.shape, j, s)
+        assert vals.shape == (len(s_values), len(stack))
+        for j, (row, one) in enumerate(zip(stack, rows)):
+            assert np.array_equal(vals[:, j], one[:, 0]), (stack.shape, j)
+            for s, v in zip(s_values, vals[:, j]):
+                assert v == _full_candidate_reference(row, s), (stack.shape, j, s)
 
 
 def test_a_row_whose_threshold_is_not_finite_keeps_every_candidate(monkeypatch):
@@ -559,7 +568,7 @@ def test_a_row_whose_threshold_is_not_finite_keeps_every_candidate(monkeypatch):
                         lambda pos, *args: gathered.append(pos.copy()) or real_k_at(pos, *args))
     s_values = [2.0 - 1e-9, 2.0]
     with np.errstate(over="ignore"):
-        vals, pos = _sup(stack, s_values)
+        vals = _sup(stack, s_values)
     kept = gathered[-1]
     m = 2 * (n - 1)
     assert set(range(m, 2 * m)) <= set(kept.tolist())  # the subnormal row: all of it
@@ -567,7 +576,7 @@ def test_a_row_whose_threshold_is_not_finite_keeps_every_candidate(monkeypatch):
     assert vals[0, 1] == math.inf
     for j, row in enumerate(stack):
         for i, s in enumerate(s_values):
-            assert (vals[i, j], pos[i, j]) == _full_candidate_reference(row, s), (j, s)
+            assert vals[i, j] == _full_candidate_reference(row, s), (j, s)
 
 
 def _brute_force_sup(values: np.ndarray, s: float, points_per_interval: int = 4097) -> float:
@@ -599,7 +608,7 @@ def test_sup_matches_brute_force_small_samples():
         n = int(rng.integers(2, 9))
         sample = SortedPValueSample.from_values(rng.uniform(0.001, 0.999, size=n))
         for s in S_GRID:
-            exact = sup_statistic(sample, s).value
+            exact = sup_statistic(sample, s)
             brute = _brute_force_sup(sample.values, s)
             assert brute == pytest.approx(exact, rel=1e-6, abs=1e-12)
 
@@ -637,17 +646,19 @@ def test_higher_criticism_identity():
     for _ in range(30):
         n = int(rng.integers(2, 101))
         sample = SortedPValueSample.from_values(rng.uniform(size=n))
-        lhs = n * sup_statistic(sample, 2.0).value
+        lhs = n * sup_statistic(sample, 2.0)
         z = z_sup(sample, float(sample.values[0]), float(sample.values[-1]))
         assert lhs == pytest.approx(0.5 * z * z, rel=1e-12)
 
 
 def test_kernel_outputs_are_pinned():
-    """Digest of sup_statistic triples, sup_statistic_values and a kappa grid.
+    """Digest of sup_statistic values, sup_statistic_values and a kappa grid.
 
     Covers every regime, including s within S_REGIME_TOL of 0 and 1.  Re-pinned
     when s = 2, -1 and 1/2 moved to their algebraic closed forms (last-bit
-    changes only; the s = 0 and s = 1 statistics stayed bit-identical).
+    changes only; the s = 0 and s = 1 statistics stayed bit-identical), and
+    when sup_statistic stopped reporting the argmax location: the values-only
+    digest is the same on the code from before that change.
     """
     s_values = (-1.0, 0.0, 5e-9, 0.5, 1.0, 1.0 + 5e-9, 2.0, 3.0)
     h = hashlib.sha256()
@@ -657,10 +668,9 @@ def test_kernel_outputs_are_pinned():
                 uniform_open(replicate_rng(4711, 10 * n + k), n)
             )
             for s in s_values:
-                st = sup_statistic(sample, s)
-                h.update(f"{st.value!r},{st.argmax_index},{st.argmax_side.value};".encode())
+                h.update(f"{sup_statistic(sample, s)!r};".encode())
             h.update(sup_statistic_values(sample, s_values).tobytes())
     g = np.arange(1, 100) / 100.0
     for s in s_values:
         h.update(kappa(s, g[:, None], g[None, :]).tobytes())
-    assert h.hexdigest() == "16309991c6a03240f6089565cd5e84caabe990d58a4692c4a89c053e9c0c9aaf"
+    assert h.hexdigest() == "a54c71d609b98f80237c41ddd300bab710c2e4d61a5f8a33fa1e294cf95f1d95"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from phidetect.experiments import (
     cell_seed,
     power_csv,
 )
+from phidetect.models import _sample_pvalues
 from phidetect.nulldist import pvalue_from_sorted
 
 
@@ -98,14 +100,14 @@ def test_scaled_statistic_routes_agree():
     s_values = [-1.0, 0.0, 2.0]
     vec = scaled_statistics(sample, s_values)
     for s, v in zip(s_values, vec):
-        direct = 120 * sup_statistic(sample, s).value - centering_offset(120)
+        direct = 120 * sup_statistic(sample, s) - centering_offset(120)
         assert scaled_statistic(sample, s) == direct
         assert v == direct
 
 
 def test_scaled_statistic_small_n_unshifted():
     sample = SortedPValueSample(np.array([0.2, 0.6, 0.9]))
-    assert scaled_statistic(sample, 2.0) == 3 * sup_statistic(sample, 2.0).value
+    assert scaled_statistic(sample, 2.0) == 3 * sup_statistic(sample, 2.0)
 
 
 def test_outcome_invariants():
@@ -339,6 +341,25 @@ def test_power_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_POWER_CSV_SHA256
 
 
+@pytest.mark.parametrize("n", [2, 1000, 8193, 8194])
+def test_stacked_power_cell_equals_the_one_row_public_route(n):
+    # stack heights 16384, 16, 2 and 1; neither 37 nor 5 replicates fill their stacks
+    reps = range(37) if n <= 1000 else range(5)
+    cells = (("normal", "sparse", 0.6, 6.0), ("scale-exponential", "dense", 0.2, 0.2))
+    ceiling_hit = False
+    for family, regime, beta, r in cells:
+        spec = MixtureSpec(mixture_family(family, regime=regime), beta, r, n)
+        seed = cell_seed(7, family, beta, r, 0.0, n)
+        pvalues = [_sample_pvalues(spec, replicate_rng(seed, j)) for j in reps]
+        ceiling_hit |= family == "normal" and any(p.max() == 1.0 - 2.0**-53 for p in pvalues)
+        for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            got = pnull._mc_stats(n, [s], seed, reps, partial(_sample_pvalues, spec))
+            want = [scaled_statistic(SortedPValueSample.from_values(p), s) for p in pvalues]
+            assert got.shape == (1, len(reps))
+            assert got[0].tobytes() == np.array(want).tobytes(), (family, s)
+    assert ceiling_hit or n == 2  # the normal signal p-values reach 1 - 2^-53
+
+
 def test_power_result_invariant():
     with pytest.raises(DomainError):
         PowerResult("normal", 0.6, 0.1, 2.0, 100, 0.05, 10, 1,
@@ -354,6 +375,14 @@ def test_boundary_comparison_requires_boundary(tmp_path):
     with pytest.raises(DomainError):
         boundary_comparison(spec, (2.0,), 0.05, 50, 1, cache_dir=tmp_path,
                             table_reps=100)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+def test_boundary_comparison_rejects_a_level_before_any_table_work(tmp_path, alpha):
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.25, 0.25, 100)
+    with pytest.raises(DomainError, match="alpha"):
+        boundary_comparison(spec, (2.0,), alpha, 10, 1, cache_dir=tmp_path, table_reps=100)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_boundary_comparison_dense_smoke(tmp_path):

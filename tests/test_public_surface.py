@@ -32,6 +32,34 @@ def test_package_reexports_only_public_module_names():
             assert getattr(phidetect, alias.asname or alias.name) is getattr(mod, alias.name)
 
 
+#: Every name the package re-exports; a new public name has to be added here.
+REEXPORTS = {
+    "BoundaryComparison", "CacheCorruptionError", "CalibrationTable", "CurveKind",
+    "DiagnosticCurve", "Distribution", "DomainError", "Exponential", "ExponentialFamily",
+    "Frechet", "Gumbel", "MixtureFamily", "MixtureSpec", "Normal", "PowerGridConfig",
+    "PowerResult", "RNG_ID", "RegimeClassification", "SortedPValueSample", "TestOutcome",
+    "Uniform", "Verdict", "beta_sharp_expfam", "beta_sharp_from_alpha",
+    "beta_sharp_from_gamma", "boundary_comparison", "cache_load", "cache_path",
+    "cache_store", "centering", "centering_offset", "classify", "diagnostic_H",
+    "diagnostic_H_sparse", "ensure_tables", "gumbel_quantile", "h_exponent", "kappa",
+    "location_gumbel_family", "log_likelihood_ratio", "mc_null_tables", "mixture_family",
+    "phi", "power_sweep", "replicate_rng", "rho_dense", "rho_normal_sparse",
+    "run_divergence_test", "run_lr_test", "sample_mixture", "scale_exponential_family",
+    "scale_frechet_family", "scaled_statistic", "scaled_statistics",
+    "signal_cdf_transformed", "stable_seed", "sup_statistic", "sup_statistic_values",
+    "to_pvalues", "uniform_open", "wilson_interval", "write_power_csv", "write_power_json",
+    "z_sup",
+}
+
+
+def test_reexported_names_are_the_listed_set():
+    tree = ast.parse(Path(phidetect.__file__).read_text(encoding="utf-8"))
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert len(names) == len(set(names)) == len(REEXPORTS) == 64
+    assert set(names) == REEXPORTS
+
+
 def test_cli_import_does_not_load_scipy_integrate():
     """Laplace transforms are closed forms; nothing on the CLI path integrates."""
     src = Path(__file__).resolve().parents[1] / "src"
