@@ -17,8 +17,8 @@ where ``F_n`` is constant the supremum sits at an interval endpoint; the
 implementation therefore evaluates only the 2(n-1) endpoint candidates and is
 exact, with no grid search.
 
-Numerics: everything is written in the jump ``d = u - v``, computed once per
-sample.  Three members need no transcendental function:
+Numerics: everything is written in the jump ``d = u - v``.  Three members need
+no transcendental function:
 
     s = 2   (higher criticism):  K_2  = d**2 / (2 v (1-v))
     s = -1  (Neyman chi^2):      K_-1 = d**2 / (2 u (1-u))
@@ -56,27 +56,31 @@ result is bit-identical to a full pass.  Outside [-1, 2] the bound fails
 (K_s/B exceeds 1e5 at s = 2.5 and -1.5 for some (u, v) in (1e-12, 1)), so
 those s make a full pass.
 
+Pair-max rule.  The candidates (u_j, X_j) and (u_{j-1}, X_j), u_i = i/n, share
+K_2's q = 2 fl(X_j(1-X_j)), and a u-group's, (u_i, X_i) and (u_i, X_{i+1}),
+share K_-1's q = 2 fl(u_i(1-u_i)).  Rounding is monotone and odd, so for fixed
+q > 0 the rounded (d/q)*d is even in d and nondecreasing in |d|: a pair's larger
+value is the one at D_j = max(u_j - X_j, X_j - u_{j-1}) (u_0, u_n read as u_1,
+u_{n-1}) or D1_i = max(u_i - X_i, X_{i+1} - u_i), each one candidate's |d| bit
+for bit, as fl(a - b) = -fl(b - a).  So K_2 is computed once per order
+statistic, K_-1 once per u-step, and the screen bounds a u-group by the larger
+of its K_-1 and the K_2 at X_i and X_{i+1}: at least B at both its candidates.
+
 ``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
 one-row stack) and the Monte-Carlo loop of null tables and power cells (stacks
 of replicates, ``nulldist._mc_stats``).  Overflow (K_s = inf near p = 0) is
 silenced by ``np.errstate`` in ``sup_statistic_values`` and that loop only.
-
-Workspace: ``_sup`` takes R sorted samples of one n as the rows of an (R, n)
-stack, and their candidates live in reused buffers of R runs of 2(n-1), no
-concatenation: the left half of a run holds the left endpoints (i/n, X_{i:n}),
-the right half the right endpoints (i/n, X_{i+1:n}), i = 1..n-1.  ``uu`` and
-``1-uu`` are built once per n; each row is copied into its run of ``vv``, then
-``1-vv``, ``d`` and K_s are written in place for the whole stack, so a stack
-pays numpy's per-call overhead once.  Every reduction (the screen's argmaxes,
-threshold and kept set, each max) stays within a run, so a row's values do
-not depend on its stack; only values come out, not where a max sits.  Each
-thread keeps one workspace, for its last n and the most rows it has held
-(numpy releases the GIL, so a shared one would race); no view of it outlives
-a call.
+It reads the (R, n) stack in place, flat: slot j - 1 of a row holds X_j, K_2
+at X_j and u-group j (the last slot no u-group).  Each pass covers the stack,
+so a stack pays numpy's per-call overhead once, and each reduction stays in a
+row, so a row's values do not depend on its stack.  Each thread keeps one
+workspace, for its last n and R (numpy releases the GIL, so a shared one would
+race); no view of it outlives a call.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import threading
@@ -182,22 +186,19 @@ def phi(s: float, x) -> float | np.ndarray:
 def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.ndarray:
     """K_s(u, v) into ``out``; ``cu``, ``cv`` are 1 - u, 1 - v and ``d`` = u - v.
 
-    This is the one switch over the K_s forms; every K_s evaluation in the
-    package goes through it.  ``s`` comes from ``_kernel_s``, so s == 0.0 and
-    s == 1.0 select the log forms.  ``a`` and ``b`` are scratch.
-    The log and expm1 forms first fill them with L1 = log(u/v),
-    L2 = log((1-u)/(1-v)), unless ``logs`` says they hold them already; s = 0
-    and s = 1 leave them intact, so one fill serves both and an expm1 form
-    after them.  Samples reach it only through ``_sup``; its callers, and
-    ``kappa``, silence overflow once per call or per loop, so the stacked
-    replicate loop's kernel calls pay for no ``errstate``.
+    The one switch over the K_s forms: every K_s evaluation in the package
+    goes through it, or through its ``_chi2`` for K_-1 per u-step.  ``s``
+    comes from ``_kernel_s``, so s == 0.0 and s == 1.0 select the log forms.
+    ``a`` and ``b`` are scratch.  The log and expm1 forms first fill them with
+    L1 = log(u/v), L2 = log((1-u)/(1-v)), unless ``logs`` says they hold them
+    already; s = 0 and s = 1 leave them intact, so one fill serves both and an
+    expm1 form after them.  Its callers silence overflow once per call or per
+    loop, so the stacked replicate loop's kernel calls pay for no ``errstate``.
     """
     if s == 2.0 or s == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
         w, cw = (v, cv) if s == 2.0 else (u, cu)
         np.multiply(w, cw, out=out)
-        out += out
-        np.divide(d, out, out=out)
-        return np.multiply(out, d, out=out)
+        return _chi2(d, np.add(out, out, out=out), out)
     if s == 0.5:  # 2[(d/(sqrt(u)+sqrt(v)))^2 + (d/(sqrt(1-u)+sqrt(1-v)))^2]
         np.add(np.sqrt(u, out=a), np.sqrt(v, out=b), out=a)
         np.square(np.divide(d, a, out=out), out=out)
@@ -252,45 +253,46 @@ def kappa(s: float, u, v) -> float | np.ndarray:
 
 _thread_slot = threading.local()
 
-
-def _workspace(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """This thread's (uu, 1-uu, vv, 1-vv, d, out, a, b), loaded with the R sorted
-    ``rows``: each holds R runs of the 2(n-1) candidates, one run per row."""
-    r, n = rows.shape
-    m = 2 * n - 2
-    slot = getattr(_thread_slot, "ws", None)
-    if slot is None or slot[0] != n or slot[1].size < r * m:
-        uu = np.tile(np.arange(1, n, dtype=np.float64) / n, 2 * r)
-        slot = _thread_slot.ws = (n, uu, 1.0 - uu, *(np.empty(uu.size) for _ in range(6)))
-    ws = slot[1:] if slot[1].size == r * m else tuple(x[: r * m] for x in slot[1:])
-    uu, _, vv, cv, d, _, _, _ = ws
-    runs = vv.reshape(r, m)
-    runs[:, : n - 1], runs[:, n - 1 :] = rows[:, :-1], rows[:, 1:]
-    np.subtract(1.0, vv, out=cv)
-    np.subtract(uu, vv, out=d)
-    return ws
+#: A thread's workspace: u_i, then R*n-long u_j, u_{j-1} and 1 - X at X_j, 2u(1-u) and scratch.
+_Ws = collections.namedtuple("_Ws", "u ur ul du cx k2 out a b")
 
 
-def _k_at(pos: np.ndarray, ws, screened: tuple[float, ...]) -> np.ndarray:
-    """Rows K_s, one per s in ``screened``, at candidate positions ``pos``: one
-    gather.  Only a log form leaves the L1/L2 fill intact for the next row;
-    ``expm1`` overwrites ``b`` and s = 1/2 both, so ``_plan`` puts s = 0, 1 first."""
-    cols = [x[pos] for x in ws[:5]]
-    a, b, *ks = rows = np.empty((2 + len(screened), pos.size))
-    logs = False
-    for s, k in zip(screened, ks):
-        _k_into(s, *cols, k, a, b, logs=logs)
-        logs = s == 0.0 or s == 1.0
-    return rows[2:]
+def _chi2(d, q, out) -> np.ndarray:
+    """(d / q) * d into ``out``: K_2 and K_-1 with their denominators q."""
+    return np.multiply(np.divide(d, q, out=out), d, out=out)
+
+
+def _chi2_rows(x: np.ndarray, n: int, ws: _Ws, kn: bool) -> np.ndarray:
+    """K_2 at each order statistic of the flat stack ``x`` (in ``k2``) and, if
+    ``kn``, K_-1 of each u-group (0 in a row's last slot), by the pair-max rule."""
+    e, f = np.subtract(ws.ur, x, out=ws.a), np.subtract(x, ws.ul, out=ws.b)
+    k2 = _k_into(2.0, None, None, x, ws.cx, np.maximum(e, f, out=ws.out), ws.k2, None, None)
+    if not kn:
+        return k2
+    _chi2(np.maximum(e[:-1], f[1:], out=ws.out[:-1]), ws.du[:-1], f[:-1])  # D1_i, then K_-1
+    f[n - 1 :: n] = 0.0
+    return f
+
+
+def _k_groups(groups: np.ndarray, x: np.ndarray, ws: _Ws, screened: tuple[float, ...]):
+    """Rows K_s, one per s in ``screened``, at both candidates of each u-group in
+    ``groups`` (slots of ``x``), interleaved: one gather.  Only a log form leaves
+    the L1/L2 fill in ``a``, ``b`` for the next s, so ``_plan`` puts s = 0, 1 first."""
+    iu, iv = np.repeat(groups, 2), (groups[:, None] + (0, 1)).ravel()
+    u, v, cv = ws.ur[iu], x[iv], ws.cx[iv]
+    cu, d = 1.0 - u, u - v
+    a, b, *ks = out = np.empty((2 + len(screened), iv.size))
+    for s, k, prev in zip(screened, ks, (None, *screened)):
+        _k_into(s, u, cu, v, cv, d, k, a, b, logs=prev == 0.0 or prev == 1.0)
+    return out[2:]
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(s_values: tuple[float, ...]):
     """How ``_sup`` serves ``s_values``, as kernel s (``_kernel_s``): the distinct
-    s in (-1, 2), which the screen serves, log forms first (see ``_k_at``); then
-    2.0 and -1.0, which the screen yields, and the s that need a full pass.  Also
-    the screen's margin factor (see ``_screened``) and, for each of ``s_values``,
-    its place in that order."""
+    s in (-1, 2), log forms first (see ``_k_groups``); then 2.0 and -1.0, which
+    the screen yields, and the rest.  Also the screen's margin factor (see
+    ``_screened``) and, for each of ``s_values``, its place in that order."""
     forms = [_kernel_s(s) for s in s_values]
     screened = tuple(sorted(dict.fromkeys(s for s in forms if -1.0 < s < 2.0),
                             key=lambda s: s != 0.0 and s != 1.0))
@@ -302,17 +304,14 @@ def _plan(s_values: tuple[float, ...]):
     return screened, keys, w, order
 
 
-def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals) -> None:
-    """Each row's max of K_s for each s in ``screened`` (all in (-1, 2)), from
-    the candidates that can reach it: into the first len(``screened``) rows of
-    ``vals``, and those of K_2 and K_-1, which the screen computes in full
-    anyway, into the next two.  ``base`` holds the offset of each row's run in
-    the workspace.
+def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: float, vals) -> None:
+    """Each row's max of K_s for each s in ``screened`` (all in (-1, 2)) into the
+    first len(``screened``) rows of ``vals``, and of K_2 and K_-1 into the next two.
 
-    B = max(K_2, K_-1) bounds every K_s (see the module docstring), and a row's
-    t, the smallest over ``screened`` of the larger K_s at the row's argmaxes of
-    K_2 and K_-1, bounds each of its maxima from below.  A candidate with B < t
-    is dropped only with a margin that covers rounding, which matters only for
+    A row's t, the smallest over ``screened`` of the largest K_s in the u-groups
+    around its argmaxes of K_2 and K_-1, bounds each of its maxima from below.
+    A u-group whose bound (at least B, see the module docstring) is below t is
+    dropped only with a margin that covers rounding, which matters only for
     near-tied samples:
     - 1e-9 relative covers B and the s = 1/2 form, sums of positive terms good
       to a few ulps, and the relative error the other forms take from L1 and
@@ -325,55 +324,56 @@ def _screened(ws, base: np.ndarray, screened: tuple[float, ...], w: float, vals)
       margin is widened by w, the largest such factor above 1.
     A row whose t is not finite drops nothing.  So each max is exact.
     """
-    uu, cu, vv, cv, d, out, a, b = ws
-    r, j = base.size, len(screened)
-    m = vv.size // r
-    k2 = _k_into(2.0, *ws)
-    kn = _k_into(-1.0, uu, cu, vv, cv, d, a, b, b)  # a closed form: writes only a
-    top = np.stack((k2.reshape(r, m).argmax(axis=1), kn.reshape(r, m).argmax(axis=1)))
-    top += base  # each run's argmax of K_2 and K_-1
-    vals[j], vals[j + 1] = k2[top[0]], kn[top[1]]
-    bound = np.maximum(k2, kn, out=out)
-    ts = _k_at(top.ravel(), ws, screened).reshape(j, 2, r).max(axis=1).min(axis=0)
+    r, j, base = x.size // n, len(screened), np.arange(0, x.size, n)
+    kn, k2 = _chi2_rows(x, n, ws, True), ws.k2
+    top2, topn = k2.reshape(r, n).argmax(axis=1), kn.reshape(r, n).argmax(axis=1)
+    vals[j], vals[j + 1] = k2[top2 + base], kn[topn + base]
+    np.maximum(np.maximum(k2[:-1], k2[1:], out=ws.out[:-1]), kn[:-1], out=ws.out[:-1])  # bounds
+    top = (np.stack((np.maximum(top2 - 1, 0), np.minimum(top2, n - 2), topn)) + base).ravel()
+    ts = _k_groups(top, x, ws, screened).reshape(j, 3, r, 2).max(axis=(1, 3)).min(axis=0)
     lim = [t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf
            for t in (max(x, 0.0) for x in ts.tolist())]
-    keep = (bound.reshape(r, m) >= np.array(lim)[:, None]).ravel()
+    # a one-row stack compares with a scalar, several times faster than per row
+    keep = (ws.out.reshape(r, n) >= (np.array(lim)[:, None] if r > 1 else lim[0])).ravel()
+    keep[n - 1 :: n] = False  # no u-group
     keep[top] = True  # t came from them, even where rounding lifts K_s above B
-    (kept,) = keep.nonzero()  # run by run, each run in order
-    starts = kept.searchsorted(base)  # every run keeps its tops
-    np.maximum.reduceat(_k_at(kept, ws, screened), starts, axis=1, out=vals[:j])
+    (kept,) = keep.nonzero()  # row by row, each row in order
+    starts = 2 * kept.searchsorted(base)  # every row keeps its tops
+    np.maximum.reduceat(_k_groups(kept, x, ws, screened), starts, axis=1, out=vals[:j])
 
 
 def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
     """S_n(s) for each s in ``s_values`` on each sorted row of the (R, n) stack
-    ``rows``, shaped (len(s_values), R): the one choice of full pass or screen.
-    ``d`` is shared across all s; every s in (-1, 2) goes through one screen,
-    which also yields S_n(2) and S_n(-1), and any other s makes a full pass.
-    Each row has its own threshold and maxima, so its values do not depend on
-    the stack it is in.  No checks: the Monte-Carlo loop runs it millions of
-    times.
-    """
-    ws = _workspace(rows)
-    r = len(rows)
-    base = np.arange(0, ws[0].size, ws[0].size // r)
+    ``rows``, shaped (len(s_values), R).  One screen serves every s in (-1, 2)
+    and yields S_n(2) and S_n(-1); s = 2 or -1 alone is the row max of K_2 or
+    K_-1; any other s makes a full pass.  No checks: the Monte-Carlo loop runs
+    it millions of times."""
+    (r, n), x = rows.shape, rows.reshape(-1)
+    ws = getattr(_thread_slot, "ws", None)
+    if ws is None or ws.u.size != n - 1 or ws.cx.size != x.size:
+        u = np.arange(1, n, dtype=np.float64) / n
+        steps = np.append(u, u[-1]), np.insert(u, 0, u[0]), np.append(2.0 * (u * (1.0 - u)), 1.0)
+        ws = _thread_slot.ws = _Ws(u, *(np.tile(y, r) for y in steps),
+                                   *(np.empty(x.size) for _ in range(5)))
+    np.subtract(1.0, x, out=ws.cx)
     screened, keys, w, order = _plan(tuple(s_values))
-    vals = np.empty((len(keys), r))
+    vals = np.zeros((len(keys), r))  # a full pass's running max starts at the clamp
     if screened:
-        _screened(ws, base, screened, w, vals)
+        _screened(x, n, ws, screened, w, vals)
     for i in range(len(screened) + 2 if screened else 0, len(keys)):
-        _k_into(keys[i], *ws).reshape(r, -1).max(axis=1, out=vals[i])
+        if keys[i] == 2.0 or keys[i] == -1.0:
+            _chi2_rows(x, n, ws, keys[i] == -1.0).reshape(r, n).max(axis=1, out=vals[i])
+        else:  # K_s at (u_j, X_j), then at (u_{j-1}, X_j); the expm1 form reads no 1 - u
+            for u in (ws.ur, ws.ul):
+                _k_into(keys[i], u, None, x, ws.cx, np.subtract(u, x, out=ws.k2), *ws[-3:])
+                np.maximum(vals[i], ws.out.reshape(r, n).max(axis=1), out=vals[i])
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
     return np.maximum(vals.take(order, axis=0), 0.0) + 0.0
 
 
 def sup_statistic(sample: SortedPValueSample, s: float) -> float:
-    """S_n(s): supremum of K_s(F_n(x), x) over the observation range.
-
-    Exact endpoint evaluation: the maximum over each of the n-1 constancy
-    intervals of F_n is attained at an interval endpoint (convexity in v),
-    so the result is ``max over i of max{K_s(i/n, X_{i:n}), K_s(i/n,
-    X_{i+1:n})}``.
-    """
+    """S_n(s): supremum of K_s(F_n(x), x) over the observation range, exactly
+    ``max over i of max{K_s(i/n, X_{i:n}), K_s(i/n, X_{i+1:n})}`` (convexity in v)."""
     return float(sup_statistic_values(sample, [s])[0])
 
 

@@ -120,9 +120,9 @@ class CalibrationTable:
         )
 
 
-#: Candidates per kernel call in the Monte-Carlo loop: it stacks its replicates
-#: max(1, _STACK_CANDIDATES // (2(n-1))) rows at a time, 16 at n = 1000, so
-#: small-n tables and power cells pay numpy's per-call overhead once per stack.
+#: Candidates per kernel call in the Monte-Carlo loop: it stacks max(1,
+#: _STACK_CANDIDATES // (2(n-1))) replicates, 16 at n = 1000, whose kernel arrays
+#: are R*n = 16k long, so small n pays numpy's per-call overhead once a stack.
 _STACK_CANDIDATES = 1 << 15
 
 

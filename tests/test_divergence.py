@@ -465,14 +465,15 @@ def test_workspace_reuse_across_n_and_threads():
 def test_warm_kernel_allocates_less_than_one_candidate_array():
     n = 100_000
     sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(5, 0), n)))
-    sup_statistic_values(sample, FIVE_S)  # warm this thread's workspace
-    tracemalloc.start()
-    try:
-        sup_statistic_values(sample, FIVE_S)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (n - 1) * 8, peak
+    for s_values in (FIVE_S, (2.0,), (3.0,)):  # the screen, s = 2 alone, a full pass
+        sup_statistic_values(sample, s_values)  # warm this thread's workspace
+        tracemalloc.start()
+        try:
+            sup_statistic_values(sample, s_values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (n - 1) * 8, (s_values, peak)
 
 
 def test_multi_s_matches_single(rng=np.random.default_rng(515)):
@@ -555,6 +556,35 @@ def test_stacked_kernel_equals_its_rows_and_the_full_candidate_max():
                 assert v == _full_candidate_reference(row, s), (stack.shape, j, s)
 
 
+def _pair_max_edge_stacks():
+    """Stacks at n in {2, 3, 4, 8} whose order statistics sit where the pair-max
+    rule is tight: midway between u-steps, X_j = (2j-1)/(2n), where both
+    candidates of X_j have the same |d|; on a u-step, X_j = j/n or (j-1)/n,
+    where d = 0; and at the floors 1e-300 and 5e-324 and at 1 - 2^-53."""
+    top = 1.0 - 2.0**-53
+    for n in (2, 3, 4, 8):
+        j = np.arange(1, n + 1)
+        mid, on, under = (2 * j - 1) / (2 * n), np.minimum(j / n, top), (j - 1) / n
+        under[0] = 1e-300
+        rows = [mid, on, under, np.where(j % 2 == 1, mid, on), np.full(n, 0.5)]
+        for low in (1e-300, 5e-324):
+            for row in (mid, on):
+                rows.append(np.concatenate(([low], row[1:-1], [top])))
+        yield np.array(rows)
+
+
+def test_pair_max_rule_at_its_edges():
+    s_values = [*SCREENED_S, 2.0, -1.0, 3.0, -1.5]
+    for stack in _pair_max_edge_stacks():
+        with np.errstate(over="ignore"):  # as the public wrappers run it
+            vals = _sup(stack, s_values)
+            rows = [_sup(row[None], s_values) for row in stack]
+        for j, (row, one) in enumerate(zip(stack, rows)):
+            assert np.array_equal(vals[:, j], one[:, 0]), (row, j)
+            for s, v in zip(s_values, vals[:, j]):
+                assert v == _full_candidate_reference(row, s), (row, s)
+
+
 def test_a_row_whose_threshold_is_not_finite_keeps_every_candidate(monkeypatch):
     # at a subnormal p-value K_2 and K_(2-1e-9) are infinite, so the screen's t is too
     n = 50
@@ -563,16 +593,15 @@ def test_a_row_whose_threshold_is_not_finite_keeps_every_candidate(monkeypatch):
     subnormal[:3] = 5e-324
     stack = np.array([uniform, subnormal, uniform])
     gathered = []
-    real_k_at = divergence._k_at
-    monkeypatch.setattr(divergence, "_k_at",
-                        lambda pos, *args: gathered.append(pos.copy()) or real_k_at(pos, *args))
+    real_k_groups = divergence._k_groups
+    monkeypatch.setattr(divergence, "_k_groups", lambda groups, *args: gathered.append(
+        groups.copy()) or real_k_groups(groups, *args))
     s_values = [2.0 - 1e-9, 2.0]
     with np.errstate(over="ignore"):
         vals = _sup(stack, s_values)
-    kept = gathered[-1]
-    m = 2 * (n - 1)
-    assert set(range(m, 2 * m)) <= set(kept.tolist())  # the subnormal row: all of it
-    assert len(kept) < 3 * m  # the uniform rows beside it still screen
+    kept = gathered[-1]  # u-group i of row k sits in slot k*n + i - 1
+    assert set(range(n, 2 * n - 1)) <= set(kept.tolist())  # the subnormal row: all n-1 u-groups
+    assert len(kept) < 3 * (n - 1)  # the uniform rows beside it still screen
     assert vals[0, 1] == math.inf
     for j, row in enumerate(stack):
         for i, s in enumerate(s_values):
