@@ -253,7 +253,7 @@ def kappa(s: float, u, v) -> float | np.ndarray:
 
 _thread_slot = threading.local()
 
-#: A thread's workspace: u_i, then R*n-long u_j, u_{j-1} and 1 - X at X_j, 2u(1-u) and scratch.
+#: A thread's workspace: u_i; then, R*n long, u_j, u_{j-1}, 2u(1-u), 1 - X, K_2 and scratch.
 _Ws = collections.namedtuple("_Ws", "u ur ul du cx k2 out a b")
 
 
