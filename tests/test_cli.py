@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -455,6 +456,34 @@ def test_cmd_diagnose_csv(capsys, tmp_path):
     assert val == want  # repr round-trip is exact
     # no numpy scalar reprs leak into the file
     assert "np.float64" not in out_path.read_text()
+
+
+# sha256 of `phidetect diagnose` CSV on the default 200-point log grid, for a
+# sparse normal mixture and a dense scale-exponential tilt, both curve kinds.
+# Every value goes through repr, so a change in any last bit changes the bytes.
+DIAG_PIN_INIS = {
+    "normal": DIAG_INI,
+    "scale-exponential": "[model]\nfamily = scale-exponential\nregime = dense\n"
+                         "beta = 0.3\nr = 0.2\nn = 100000\n",
+}
+PINNED_DIAGNOSE_CSV_SHA256 = {
+    ("normal", "full"): "7cd441e3446384b44b53d4edd7d12cf1a5bb890c9a344186f30a9a32b2d67f94",
+    ("normal", "sparse"): "52ad622efb93718aad8d5d2b3f0bdfc585ed11e616cd57364947e137d63c70e2",
+    ("scale-exponential", "full"):
+        "0c689ff9fb23c26b5d1371b8f33a1712d84a5358ca5a8b7ce3e22fe9c4bea403",
+    ("scale-exponential", "sparse"):
+        "7ef0d0ba4f150f0800e266085534b2eb875ad5419279ba25ed2adf2632d351ef",
+}
+
+
+@pytest.mark.parametrize("family, kind", sorted(PINNED_DIAGNOSE_CSV_SHA256))
+def test_cmd_diagnose_csv_bytes_are_pinned(capsys, tmp_path, family, kind):
+    ini = tmp_path / "model.ini"
+    ini.write_text(DIAG_PIN_INIS[family])
+    code, out, _ = _run(capsys, ["diagnose", "--model-config", ini, "--kind", kind])
+    assert code == 0 and len(out.splitlines()) == 201
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIAGNOSE_CSV_SHA256[(family, kind)]
 
 
 def test_cmd_diagnose_stdout_grid(capsys, tmp_path):
