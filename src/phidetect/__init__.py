@@ -30,8 +30,6 @@ from .nulldist import (
     mc_null_tables,
 )
 from .models import (
-    CurveKind,
-    DiagnosticCurve,
     Distribution,
     Exponential,
     ExponentialFamily,

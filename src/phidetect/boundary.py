@@ -127,27 +127,22 @@ class RegimeClassification:
 BOUNDARY_KINDS = ("normal-sparse", "expfam-sparse", "expfam-dense")
 
 
-def _verdict(margin: float, tol: float) -> Verdict:
-    if margin > tol:
+def _verdict(margin: float) -> Verdict:
+    if margin > DEFAULT_TOLERANCE:
         return Verdict.DETECTABLE
-    if margin < -tol:
+    if margin < -DEFAULT_TOLERANCE:
         return Verdict.UNDETECTABLE
     return Verdict.ON_BOUNDARY
 
 
-def classify(
-    model_family,
-    beta: float,
-    r: float,
-    *,
-    p: float | None = None,
-    tol: float = DEFAULT_TOLERANCE,
-) -> RegimeClassification:
+def classify(model_family, beta: float, r: float, *, p: float | None = None) -> RegimeClassification:
     """Classify (beta, r) for a family with a known closed-form boundary.
 
     ``model_family`` is one of the kind strings in ``BOUNDARY_KINDS`` or a
     mixture family carrying a ``boundary_kind``.  Sparse tilts need the tail
-    exponent p (taken from the family when available).
+    exponent p (taken from the family when available).  r must be finite and
+    >= 0, as in ``MixtureSpec``; a margin within ``DEFAULT_TOLERANCE`` of 0 is
+    on the boundary.
     """
     kind = model_family
     if hasattr(model_family, "boundary_kind"):
@@ -159,6 +154,8 @@ def classify(
             f"no known boundary for family {model_family!r}; expected one of {BOUNDARY_KINDS}"
         )
     beta, r = float(beta), float(r)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"signal strength exponent r must be finite and >= 0, got {r}")
     if kind == "normal-sparse":
         threshold = rho_normal_sparse(beta)
         margin = r - threshold
@@ -172,4 +169,4 @@ def classify(
             raise DomainError(f"sparse classification needs beta in (1/2, 1], got {beta}")
         threshold = beta_sharp_expfam(r, p)
         margin = threshold - beta
-    return RegimeClassification(_verdict(margin, tol), threshold, margin)
+    return RegimeClassification(_verdict(margin), threshold, margin)

@@ -422,9 +422,9 @@ def cmd_diagnose(args) -> int:
         grid = np.geomspace(args.v_min, args.v_max, args.v_count)
     else:
         grid = np.linspace(args.v_min, args.v_max, args.v_count)
-    curve = (diagnostic_H_sparse if args.kind == "sparse" else diagnostic_H)(spec, grid)
+    values = (diagnostic_H_sparse if args.kind == "sparse" else diagnostic_H)(spec, grid)
     lines = ["v,value"]
-    lines += [f"{float(v)!r},{float(h)!r}" for v, h in zip(curve.v, curve.values)]
+    lines += [f"{float(v)!r},{float(h)!r}" for v, h in zip(grid, values)]
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)

@@ -67,10 +67,11 @@ __all__ = [
 WILSON_Z_99 = 2.5758293035489004
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (99% by default)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise DomainError(f"need 0 <= successes <= trials, got {successes}/{trials}")
+    z = WILSON_Z_99
     p_hat = successes / trials
     z2n = z * z / trials
     denom = 1.0 + z2n
@@ -199,9 +200,6 @@ class PowerGridConfig:
         """Grid cells in declared axis order (beta, r, s, n)."""
         return list(itertools.product(self.betas, self.rs, self.s_values, self.n_values))
 
-    def resolved_table_seed(self) -> int:
-        return _table_seed(self.seed, self.table_seed)
-
 
 @dataclass(frozen=True)
 class PowerResult:
@@ -275,7 +273,7 @@ def power_sweep(config: PowerGridConfig) -> list[PowerResult]:
         n_values = []
     else:
         n_values = sorted(set(config.n_values))
-    tseed = config.resolved_table_seed()
+    tseed = _table_seed(config.seed, config.table_seed)
     crit = {}
     for n in n_values:
         tables = ensure_tables(config.cache_dir, n, config.s_values, config.table_reps,

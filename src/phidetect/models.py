@@ -56,8 +56,6 @@ __all__ = [
     "sample_mixture",
     "to_pvalues",
     "signal_cdf_transformed",
-    "CurveKind",
-    "DiagnosticCurve",
     "diagnostic_H",
     "diagnostic_H_sparse",
     "h_exponent",
@@ -227,8 +225,9 @@ class ExponentialFamily:
 
     That law fixes what the class states once: the Laplace transform
     omega(theta) = E_0 exp(theta T) = 1/(1+theta), finite on ``theta_domain``
-    = (-1, inf), and the regularity exponent p = 1 of T near its essential
-    supremum, T_sup - T(Q_0(u near signal tail)) ~ u^{1/p} (``tail_exponent``).
+    = (-1, inf), so log C(theta) = log1p(theta); and the regularity exponent
+    p = 1 of T near its essential supremum, T_sup - T(Q_0(u near signal
+    tail)) ~ u^{1/p} (``tail_exponent``).
 
     Parameters
     ----------
@@ -238,8 +237,6 @@ class ExponentialFamily:
         Vectorised natural statistic T.
     tilted:
         Closed-form constructor theta -> Distribution for P_theta.
-    signal_tail:
-        'lower' or 'upper': which tail of the base carries the tilted mass.
     """
 
     theta_domain = (-1.0, math.inf)
@@ -252,15 +249,11 @@ class ExponentialFamily:
         *,
         name: str = "expfam",
         tilted: Callable,
-        signal_tail: str = "lower",
     ):
-        if signal_tail not in ("lower", "upper"):
-            raise DomainError("signal_tail must be 'lower' or 'upper'")
         self.base = base
         self.T = statistic
         self.name = name
         self._tilted = tilted
-        self.signal_tail = signal_tail
 
     def _check_theta(self, theta: float) -> float:
         theta = float(theta)
@@ -271,17 +264,10 @@ class ExponentialFamily:
             )
         return theta
 
-    def laplace_transform(self, theta: float) -> float:
-        """omega(theta) = integral of exp(theta*T) dP_0 (= 1/C(theta))."""
-        return 1.0 / (1.0 + self._check_theta(theta))
-
-    def C(self, theta: float) -> float:
-        return 1.0 / self.laplace_transform(theta)
-
     def log_ratio(self, theta: float) -> Callable:
         """x -> log(dP_theta/dP_0)(x) = log C(theta) + theta*T(x)."""
         theta = self._check_theta(theta)
-        log_c = math.log(self.C(theta))
+        log_c = math.log1p(theta)
         T = self.T
 
         def ratio(x):
@@ -304,8 +290,7 @@ def scale_exponential_family() -> ExponentialFamily:
 def location_gumbel_family() -> ExponentialFamily:
     """Gumbel base tilted by T(x) = -exp(-x): P_theta = Gumbel(log(1+theta))."""
     return ExponentialFamily(Gumbel(0.0), lambda x: -np.exp(-np.asarray(x, dtype=np.float64)),
-                             name="location-gumbel", tilted=lambda th: Gumbel(math.log1p(th)),
-                             signal_tail="upper")
+                             name="location-gumbel", tilted=lambda th: Gumbel(math.log1p(th)))
 
 
 def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
@@ -320,8 +305,7 @@ def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
                               "(1+theta)^(1/shape) overflows") from None
 
     return ExponentialFamily(Frechet(a, 1.0), lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
-                             name=f"scale-frechet(shape={a:g})", tilted=tilted,
-                             signal_tail="upper")
+                             name=f"scale-frechet(shape={a:g})", tilted=tilted)
 
 
 # --------------------------------------------------------------------------
@@ -576,28 +560,6 @@ def signal_cdf_transformed(spec: MixtureSpec, v):
     return float(out) if np.ndim(v) == 0 else out
 
 
-class CurveKind(enum.Enum):
-    FULL = "full"
-    SPARSE_SIMPLIFIED = "sparse-simplified"
-
-
-@dataclass(frozen=True, eq=False)
-class DiagnosticCurve:
-    v: np.ndarray
-    values: np.ndarray
-    kind: CurveKind
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape != vals.shape:
-            raise DomainError("grid and values must be matching 1-d arrays")
-        if np.any(np.diff(v) <= 0.0):
-            raise DomainError("v grid must be strictly increasing")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "values", vals)
-
-
 def _diagnostic_terms(spec: MixtureSpec, v_grid):
     """Shared part of H_n and H~_n: the grid v, the signal masses mu(0,v] and
     mu[1-v,1), and the scale sqrt(n) eps_n / sqrt(v)."""
@@ -609,16 +571,16 @@ def _diagnostic_terms(spec: MixtureSpec, v_grid):
     return v, lower, upper, math.sqrt(spec.n) * spec.epsilon / np.sqrt(v)
 
 
-def diagnostic_H(spec: MixtureSpec, v_grid) -> DiagnosticCurve:
-    """H_n(v) = (sqrt(n) eps_n / sqrt(v)) * (|mu(0,v] - v| + |mu[1-v,1) - v|)."""
+def diagnostic_H(spec: MixtureSpec, v_grid) -> np.ndarray:
+    """H_n(v) = (sqrt(n) eps_n / sqrt(v)) * (|mu(0,v] - v| + |mu[1-v,1) - v|) on the grid."""
     v, lower, upper, scale = _diagnostic_terms(spec, v_grid)
-    return DiagnosticCurve(v, scale * (np.abs(lower - v) + np.abs(upper - v)), CurveKind.FULL)
+    return scale * (np.abs(lower - v) + np.abs(upper - v))
 
 
-def diagnostic_H_sparse(spec: MixtureSpec, v_grid) -> DiagnosticCurve:
+def diagnostic_H_sparse(spec: MixtureSpec, v_grid) -> np.ndarray:
     """Sparse simplification: drops the centering, H~ = scale * (mu(0,v] + mu[1-v,1))."""
     v, lower, upper, scale = _diagnostic_terms(spec, v_grid)
-    return DiagnosticCurve(v, scale * (lower + upper), CurveKind.SPARSE_SIMPLIFIED)
+    return scale * (lower + upper)
 
 
 def h_exponent(spec: MixtureSpec, t):

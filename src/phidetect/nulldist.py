@@ -99,7 +99,6 @@ class CalibrationTable:
     seed: int
     rng_id: str
     sorted_stats: np.ndarray
-    version: int = CACHE_VERSION
 
     def __post_init__(self) -> None:
         stats = np.asarray(self.sorted_stats, dtype=np.float64)
@@ -111,13 +110,6 @@ class CalibrationTable:
         stats.flags.writeable = False
         object.__setattr__(self, "sorted_stats", stats)
         object.__setattr__(self, "s", float(self.s) + 0.0)  # as keyed: -0.0 -> 0.0, 2 -> 2.0
-
-    def equals(self, other: "CalibrationTable") -> bool:
-        return (
-            (self.n, self.s, self.reps, self.seed, self.rng_id, self.version)
-            == (other.n, other.s, other.reps, other.seed, other.rng_id, other.version)
-            and np.array_equal(self.sorted_stats, other.sorted_stats)
-        )
 
 
 #: Candidates per kernel call in the Monte-Carlo loop: it stacks max(1,
@@ -224,19 +216,18 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
-def _key_digest(n: int, s: float, reps: int, seed: int, rng_id: str, version: int) -> str:
+def _key_digest(n: int, s: float, reps: int, seed: int, rng_id: str) -> str:
     blob = json.dumps(
         {"n": n, "s": repr(float(s) + 0.0), "reps": reps, "seed": seed,
-         "rng_id": rng_id, "version": version},
+         "rng_id": rng_id, "version": CACHE_VERSION},
         sort_keys=True,
         separators=(",", ":"),
     )
     return sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
-def cache_path(cache_dir, n: int, s: float, reps: int, seed: int,
-               rng_id: str = RNG_ID, version: int = CACHE_VERSION) -> Path:
-    return Path(cache_dir) / f"calibration-{_key_digest(n, s, reps, seed, rng_id, version)}.json"
+def cache_path(cache_dir, n: int, s: float, reps: int, seed: int, rng_id: str = RNG_ID) -> Path:
+    return Path(cache_dir) / f"calibration-{_key_digest(n, s, reps, seed, rng_id)}.json"
 
 
 def _stats_digest(sorted_stats: np.ndarray) -> str:
@@ -245,10 +236,9 @@ def _stats_digest(sorted_stats: np.ndarray) -> str:
 
 def cache_store(table: CalibrationTable, cache_dir) -> Path:
     """Persist a table; atomic (write-then-rename), returns the file path."""
-    path = cache_path(cache_dir, table.n, table.s, table.reps, table.seed,
-                      table.rng_id, table.version)
+    path = cache_path(cache_dir, table.n, table.s, table.reps, table.seed, table.rng_id)
     doc = {
-        "version": table.version,
+        "version": CACHE_VERSION,
         "n": table.n,
         "s": table.s,
         "reps": table.reps,

@@ -197,6 +197,16 @@ def test_classify_margin_monotone_along_r():
 
 
 def test_classify_tolerance_band():
-    near = 0.1 + 1e-6
-    assert classify("normal-sparse", 0.6, near, tol=1e-3).verdict is Verdict.ON_BOUNDARY
-    assert classify("normal-sparse", 0.6, near, tol=1e-9).verdict is Verdict.DETECTABLE
+    # rho(0.6) = 0.1: a margin within DEFAULT_TOLERANCE = 1e-9 is on the boundary
+    assert classify("normal-sparse", 0.6, 0.1 + 1e-10).verdict is Verdict.ON_BOUNDARY
+    assert classify("normal-sparse", 0.6, 0.1 - 1e-10).verdict is Verdict.ON_BOUNDARY
+    assert classify("normal-sparse", 0.6, 0.1 + 1e-6).verdict is Verdict.DETECTABLE
+    assert classify("normal-sparse", 0.6, 0.1 - 1e-6).verdict is Verdict.UNDETECTABLE
+
+
+@pytest.mark.parametrize("kind, beta", [("normal-sparse", 0.6), ("expfam-dense", 0.2),
+                                        ("expfam-sparse", 0.6)])
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.1])
+def test_classify_rejects_an_r_that_is_not_finite_and_nonnegative(kind, beta, r):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        classify(kind, beta, r, p=1.0)

@@ -392,6 +392,12 @@ def test_cmd_boundary_classification(capsys):
     assert rows[0]["margin"] == pytest.approx(0.4, rel=1e-12)
 
 
+@pytest.mark.parametrize("family, beta", [("normal-sparse", "0.6"), ("expfam-dense", "0.2")])
+def test_cmd_boundary_rejects_a_nan_r(capsys, family, beta):
+    code, out, err = _run(capsys, ["boundary", "--family", family, "--beta", beta, "--r", "nan"])
+    assert code == 2 and out == "" and "finite and >= 0" in err
+
+
 def test_cmd_boundary_gamma_table(capsys, tmp_path):
     table = tmp_path / "gamma.csv"
     table.write_text("t,gamma\n0.0,0.0\n10.0,0.0\n")
@@ -452,7 +458,7 @@ def test_cmd_diagnose_csv(capsys, tmp_path):
     assert len(lines) == 6
     v, val = (float(tok) for tok in lines[1].split(","))
     spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 1000)
-    want = diagnostic_H_sparse(spec, [v]).values[0]
+    want = diagnostic_H_sparse(spec, [v])[0]
     assert val == want  # repr round-trip is exact
     # no numpy scalar reprs leak into the file
     assert "np.float64" not in out_path.read_text()

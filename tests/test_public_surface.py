@@ -34,9 +34,8 @@ def test_package_reexports_only_public_module_names():
 
 #: Every name the package re-exports; a new public name has to be added here.
 REEXPORTS = {
-    "BoundaryComparison", "CacheCorruptionError", "CalibrationTable", "CurveKind",
-    "DiagnosticCurve", "Distribution", "DomainError", "Exponential", "ExponentialFamily",
-    "Frechet", "Gumbel", "MixtureFamily", "MixtureSpec", "Normal", "PowerGridConfig",
+    "BoundaryComparison", "CacheCorruptionError", "CalibrationTable", "Distribution",
+    "DomainError", "Exponential", "ExponentialFamily", "Frechet", "Gumbel", "MixtureFamily", "MixtureSpec", "Normal", "PowerGridConfig",
     "PowerResult", "RNG_ID", "RegimeClassification", "SortedPValueSample", "TestOutcome",
     "Uniform", "Verdict", "beta_sharp_expfam", "beta_sharp_from_alpha",
     "beta_sharp_from_gamma", "boundary_comparison", "cache_load", "cache_path",
@@ -56,8 +55,21 @@ def test_reexported_names_are_the_listed_set():
     tree = ast.parse(Path(phidetect.__file__).read_text(encoding="utf-8"))
     names = [alias.asname or alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
-    assert len(names) == len(set(names)) == len(REEXPORTS) == 64
+    assert len(names) == len(set(names)) == len(REEXPORTS) == 62
     assert set(names) == REEXPORTS
+
+
+def test_every_top_level_import_is_used():
+    """A name a module imports at top level is referenced in that module, so an
+    import that only a deleted function used cannot linger."""
+    for mod in _modules():
+        tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= used, f"{mod.__name__} imports unused {sorted(bound - used)}"
 
 
 def test_cli_import_does_not_load_scipy_integrate():
