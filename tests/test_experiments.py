@@ -227,7 +227,8 @@ def test_resolved_table_seed(tmp_path):
         cfg = PowerGridConfig("normal", (0.6,), (0.1,), (2.0,), (100,), reps=2, seed=5,
                               cache_dir=str(cache), table_reps=100, table_seed=table_seed)
         assert all(r.error is None for r in power_sweep(cfg))
-        assert [p.name for p in cache.iterdir()] == [pnull.cache_path("", 100, 2.0, 100, want).name]
+        want_name = pnull.cache_path("", 100, 2.0, 100, want).name
+        assert [p.name for p in cache.iterdir()] == [want_name]
 
 
 def _smoke_config(cache_dir, **kw):

@@ -34,6 +34,7 @@ def _same_table(a: CalibrationTable, b: CalibrationTable) -> bool:
     return ((a.n, a.s, a.reps, a.seed, a.rng_id) == (b.n, b.s, b.reps, b.seed, b.rng_id)
             and np.array_equal(a.sorted_stats, b.sorted_stats))
 
+
 # centering sequence r_n = loglog n + (1/2) logloglog n - (1/2) log(4 pi),
 # frozen from a 40-digit evaluation of the formula
 CENTERING_REFERENCE = {
