@@ -400,6 +400,30 @@ def test_boundary_comparison_dense_smoke(tmp_path):
     assert bc == again
 
 
+# Every field of two boundary comparisons, scale-exponential dense on its
+# boundary (beta = 0.1, r = 0.4), the five s: at n = 2000 the replicate loop
+# stacks 8 rows a kernel call, at n = 1e4 one.  A change to the draws, the
+# statistic or the counting that moves any replicate across a critical value,
+# or flips an LR decision, changes an error sum.
+PINNED_BOUNDARY = {
+    (2000, 200): "BoundaryComparison(family='scale-exponential', beta=0.1, r=0.4, n=2000, "
+                 "alpha=0.1, reps=200, seed=20261019, s_values=(-1.0, 0.0, 0.5, 1.0, 2.0), "
+                 "error_sums=(0.965, 0.95, 0.945, 0.965, 0.98), lr_error_sum=0.625)",
+    (10000, 60): "BoundaryComparison(family='scale-exponential', beta=0.1, r=0.4, n=10000, "
+                 "alpha=0.1, reps=60, seed=20261019, s_values=(-1.0, 0.0, 0.5, 1.0, 2.0), "
+                 "error_sums=(0.9666666666666667, 0.9, 0.9333333333333333, "
+                 "0.9166666666666666, 1.0166666666666666), lr_error_sum=0.7333333333333333)",
+}
+
+
+@pytest.mark.parametrize("n, reps", sorted(PINNED_BOUNDARY))
+def test_boundary_comparison_is_pinned(tmp_path, n, reps):
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.1, 0.4, n)
+    bc = boundary_comparison(spec, (-1.0, 0.0, 0.5, 1.0, 2.0), 0.1, reps, 20261019,
+                             cache_dir=tmp_path, table_reps=200)
+    assert repr(bc) == PINNED_BOUNDARY[(n, reps)]
+
+
 # --------------------------------------------------------------------------
 # result files
 
