@@ -67,8 +67,8 @@ statistic, K_-1 once per u-step, and the screen bounds a u-group by the larger
 of its K_-1 and the K_2 at X_i and X_{i+1}: at least B at both its candidates.
 
 ``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
-one-row stack) and the Monte-Carlo loop of null tables and power cells (stacks
-of replicates, ``nulldist._mc_stats``).  Overflow (K_s = inf near p = 0) is
+one-row stack) and the Monte-Carlo loop of null tables, power cells and
+boundary comparisons (stacks of replicates, ``nulldist._mc_stats``).  Overflow (K_s = inf near p = 0) is
 silenced by ``np.errstate`` in ``sup_statistic_values`` and that loop only.
 It reads the (R, n) stack in place, flat: slot j - 1 of a row holds X_j, K_2
 at X_j and u-group j (the last slot no u-group).  Each pass covers the stack,
@@ -161,8 +161,8 @@ def phi(s: float, x) -> float | np.ndarray:
     """Evaluate the convex generator phi_s at x >= 0.
 
     Total on the domain: x=0 returns the right limit (1/s for s>0 outside
-    {1}, 1.0 at s=1, +inf for s<=0), and +inf propagates naturally for
-    overflowing arguments.  phi_s(x) >= 0 with equality iff x == 1.
+    {1}, 1.0 at s=1, +inf for s<=0), and x = +inf, or an x whose terms
+    overflow, returns +inf.  phi_s(x) >= 0 with equality iff x == 1.
     """
     s = _kernel_s(_finite_s(s))
     xa = np.asarray(x, dtype=np.float64)
@@ -174,10 +174,10 @@ def phi(s: float, x) -> float | np.ndarray:
         if s == 0.0:
             out = w - lx
         elif s == 1.0:
-            out = xa * lx - w
-            out = np.where(xa == 0.0, 1.0, out)  # 0*log(0) limit
+            out = np.where(xa == 0.0, 1.0, xa * lx - w)  # 0*log(0) limit
         else:
             out = (s * w - np.expm1(s * lx)) / (s * (1.0 - s))
+        out = np.where(np.isnan(out), np.inf, out)  # inf - inf: phi_s -> +inf as x -> inf
     if np.ndim(x) == 0:
         return float(out)
     return out

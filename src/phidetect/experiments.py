@@ -9,7 +9,8 @@ given configuration regardless of worker count or execution order.  A cell
 runs the null tables' stacked replicate loop (``nulldist._mc_stats``) on the
 p-value scale: the noise p-values are the open uniforms themselves and only
 signal points go through F_0, so its statistics match the public
-``sample_mixture`` + ``to_pvalues`` route to about 1e-12.
+``sample_mixture`` + ``to_pvalues`` route to about 1e-12, the route that
+``boundary_comparison`` runs through the same loop, LR decisions included.
 
 ``run_lr_test`` is the Neyman-Pearson benchmark in zero-threshold form
 (reject iff the posterior likelihood favours the mixture), the form whose
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rand import _pool_map, replicate_rng, stable_seed
+from ._rand import _pool_map, stable_seed
 from .boundary import Verdict, classify
 from .divergence import SortedPValueSample, sup_statistic, sup_statistic_values
 from .errors import DomainError
@@ -184,7 +185,7 @@ class PowerGridConfig:
 
     def __post_init__(self):
         for name in ("betas", "rs", "s_values"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(float(v) + 0.0 for v in getattr(self, name)))
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         object.__setattr__(self, "family_params", tuple(
             (str(k), float(v)) for k, v in self.family_params
@@ -334,30 +335,29 @@ def boundary_comparison(
         raise DomainError("reps must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
-    s_list = [float(s) for s in s_values]
+    s_list = [float(s) + 0.0 for s in s_values]
     tseed = _table_seed(seed, table_seed)
     tables = ensure_tables(cache_dir, spec.n, s_list, table_reps, tseed, workers=workers)
     crits = np.array([critical_from_sorted(tables[s].sorted_stats, alpha) for s in s_list])
-    null_seed = stable_seed(seed, "boundary-null")
-    alt_seed = stable_seed(seed, "boundary-alt")
-    rej_null = np.zeros(len(s_list), dtype=np.int64)
-    rej_alt = np.zeros(len(s_list), dtype=np.int64)
-    lr_rej_null = 0
-    lr_rej_alt = 0
-    for j in range(reps):
-        x0 = spec.noise.sample(spec.n, replicate_rng(null_seed, j))
-        rej_null += scaled_statistics(to_pvalues(x0, spec.noise), s_list) > crits
-        lr_rej_null += run_lr_test(x0, spec)
-        x1, _ = sample_mixture(spec, replicate_rng(alt_seed, j))
-        rej_alt += scaled_statistics(to_pvalues(x1, spec.noise), s_list) > crits
-        lr_rej_alt += run_lr_test(x1, spec)
-    error_sums = tuple((rej_null + (reps - rej_alt)) / reps)
-    lr_error_sum = (lr_rej_null + (reps - lr_rej_alt)) / reps
+
+    def rejections(tag, sample):  # per s, and of the LR test, over the replicates
+        lr = []
+
+        def draw(rng):  # the LR test reads x here: the next replicate reuses rng
+            x = sample(rng)
+            lr.append(run_lr_test(x, spec))
+            return to_pvalues(x, spec.noise).values
+
+        stats = _mc_stats(spec.n, s_list, stable_seed(seed, tag), range(reps), draw)
+        return np.count_nonzero(stats > crits[:, None], axis=1), sum(lr)
+
+    rej_null, lr_null = rejections("boundary-null", lambda rng: spec.noise.sample(spec.n, rng))
+    rej_alt, lr_alt = rejections("boundary-alt", lambda rng: sample_mixture(spec, rng)[0])
     return BoundaryComparison(
         family=spec.family.name, beta=spec.beta, r=spec.r, n=spec.n,
         alpha=alpha, reps=reps, seed=seed, s_values=tuple(s_list),
-        error_sums=tuple(float(e) for e in error_sums),
-        lr_error_sum=float(lr_error_sum),
+        error_sums=tuple(float(e) for e in (rej_null + (reps - rej_alt)) / reps),
+        lr_error_sum=(lr_null + (reps - lr_alt)) / reps,
     )
 
 

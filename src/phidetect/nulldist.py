@@ -121,9 +121,9 @@ _STACK_CANDIDATES = 1 << 15
 def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.ndarray:
     """n*S_n(s) - r_n, shaped (len(s_list), len(reps)), on the sorted n-row
     ``draw(rng)`` of each replicate in ``reps`` (``rng``: its substream of
-    ``seed``): the one Monte-Carlo statistics loop, of null tables and power
-    cells.  By the substream contract, and as ``_sup`` treats each row of a
-    stack alone, any chunking across workers or stacks gives the same values."""
+    ``seed``): the one Monte-Carlo statistics loop, of null tables, power cells
+    and boundary comparisons.  By the substream contract, and as ``_sup`` treats
+    each row of a stack alone, any chunking gives the same values."""
     rn = centering_offset(n)
     height = max(1, _STACK_CANDIDATES // (2 * n - 2))
     out = np.empty((len(s_list), len(reps)), dtype=np.float64)

@@ -67,6 +67,14 @@ def test_phi_at_zero_right_limits():
     assert phi(-1.0, 0.0) == math.inf
 
 
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+def test_phi_at_large_x_is_inf_not_nan(s):
+    # the terms of phi_s overflow to inf - inf at x = inf, and for s > 1 at x = 1e308
+    assert phi(s, math.inf) == math.inf
+    assert phi(s, 1e308) == (5e307 if s == -1.0 else 1e308 if s == 0.0 else math.inf)
+    assert np.array_equal(phi(s, np.array([1.0, math.inf])), [0.0, math.inf])
+
+
 def test_phi_rejects_negative_and_nan():
     with pytest.raises(DomainError):
         phi(2.0, -0.5)

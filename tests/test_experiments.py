@@ -302,6 +302,13 @@ def test_power_sweep_builds_no_table_for_a_family_it_cannot_build(tmp_path):
     assert len(res) == 2 and all("regime 'dense'" in r.error for r in res)
 
 
+def test_negative_zero_coordinates_are_the_zero_cells(tmp_path):
+    # -0.0 is normalised to 0.0, so the cell seeds hash '0.0' and the draws match
+    zero = power_csv(power_sweep(_smoke_config(tmp_path, rs=(0.0,), s_values=(0.0,))))
+    negative = power_csv(power_sweep(_smoke_config(tmp_path, rs=(-0.0,), s_values=(-0.0,))))
+    assert negative == zero
+
+
 def test_power_sweep_cells_never_read_the_cache(tmp_path, monkeypatch):
     cfg = _smoke_config(tmp_path, betas=(0.6, 0.75), s_values=(1.0, 2.0),
                         n_values=(32, 64), reps=5)
