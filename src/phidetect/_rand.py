@@ -2,10 +2,10 @@
 
 Each Monte-Carlo replicate draws from its own block of the counter-based
 Philox stream of ``(master seed, replicate index)``: every Monte-Carlo loop
-through one reused generator (``_replicate_rngs``), ``sample_mixture`` given an
-int seed through ``replicate_rng``.  Replicate streams therefore do not depend on how work is
-chunked across processes or stacks, which makes results bit-for-bit
-reproducible regardless of worker count.
+through one reused generator (``_replicate_rngs``), ``sample_mixture`` given
+an int seed through ``replicate_rng``.  Replicate streams therefore do not
+depend on how work is chunked across processes or stacks, which makes results
+bit-for-bit reproducible regardless of worker count.
 """
 
 from __future__ import annotations

@@ -68,14 +68,14 @@ of its K_-1 and the K_2 at X_i and X_{i+1}: at least B at both its candidates.
 
 ``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
 one-row stack) and the Monte-Carlo loop of null tables, power cells and
-boundary comparisons (stacks of replicates, ``nulldist._mc_stats``).  Overflow (K_s = inf near p = 0) is
-silenced by ``np.errstate`` in ``sup_statistic_values`` and that loop only.
-It reads the (R, n) stack in place, flat: slot j - 1 of a row holds X_j, K_2
-at X_j and u-group j (the last slot no u-group).  Each pass covers the stack,
-so a stack pays numpy's per-call overhead once, and each reduction stays in a
-row, so a row's values do not depend on its stack.  Each thread keeps one
-workspace, for its last n and R (numpy releases the GIL, so a shared one would
-race); no view of it outlives a call.
+boundary comparisons (stacks, ``nulldist._mc_stats``).  Overflow (K_s = inf
+near p = 0) is silenced by ``np.errstate`` in ``sup_statistic_values`` and
+that loop only.  It reads the (R, n) stack in place, flat: slot j - 1 of a row
+holds X_j, K_2 at X_j and u-group j (the last slot no u-group).  Each pass
+covers the stack, so a stack pays numpy's per-call overhead once, and each
+reduction stays in a row, so a row's values do not depend on its stack.  Each
+thread keeps one workspace, for its last n and R (numpy releases the GIL, so a
+shared one would race); no view of it outlives a call.
 """
 
 from __future__ import annotations
