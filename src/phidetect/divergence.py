@@ -177,10 +177,10 @@ def phi(s: float, x) -> float | np.ndarray:
             out = np.where(xa == 0.0, 1.0, xa * lx - w)  # 0*log(0) limit
         else:
             out = (s * w - np.expm1(s * lx)) / (s * (1.0 - s))
+            if s < -1.0:  # s * w overflows near the float maximum, where phi_s is finite
+                out = np.where(np.isinf(out), w / (1.0 - s) - np.expm1(s * lx) / (s * (1.0 - s)), out)
         out = np.where(np.isnan(out), np.inf, out)  # inf - inf: phi_s -> +inf as x -> inf
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.ndarray:

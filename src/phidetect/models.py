@@ -1,7 +1,9 @@
 """Noise/signal models, two-group mixtures, and detectability diagnostics.
 
 The observation model is the two-group mixture ``Q_n = (1-eps_n) P_0 +
-eps_n mu_n`` with ``eps_n = n^{-beta}``.  Signal strength follows one of
+eps_n mu_n`` with ``eps_n = n^{-beta}``.  A replicate draws k ~ Bin(n, eps_n),
+the n-k noise uniforms, then the k signal draws (``_draw``); ``sample_mixture``
+then shuffles, so membership is i.i.d.  Signal strength follows one of
 three conventions, fixed per family:
 
 * ``theta_n = sqrt(2 r log n)`` — normal location (sparse),
@@ -495,13 +497,12 @@ def mixture_family(name: str, *, regime: str | None = None, **params) -> Mixture
     return build(regime, **{k: float(v) for k, v in params.items()})
 
 
-def _draw(spec: MixtureSpec, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one stream layout of a mixture replicate: the membership mask
-    ``rng.random(n) < eps``, the n-k noise uniforms, then the k signal draws."""
-    mask = rng.random(spec.n) < spec.epsilon
-    k = int(np.count_nonzero(mask))
+def _draw(spec: MixtureSpec, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The one stream layout of a mixture replicate: the signal count k =
+    ``rng.binomial(n, eps)``, then the n-k noise uniforms and the k signal draws."""
+    k = int(rng.binomial(spec.n, spec.epsilon))
     u = uniform_open(rng, spec.n - k)
-    return mask, u, spec.signal.sample(k, rng) if k else np.empty(0)
+    return u, spec.signal.sample(k, rng) if k else np.empty(0)
 
 
 def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:
@@ -510,20 +511,19 @@ def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:
     ``seed`` is either an integer (replicate 0 of its stream is used) or a
     ``numpy.random.Generator``.  Returns (data, signal_count); the latent
     count is for diagnostics only and must never feed a test statistic.
-    Membership is i.i.d. per observation (one uniform mask, see ``_draw``),
-    so the joint law is the exact mixture.
+    ``_draw``'s k signals go to a uniform k-subset of positions (one shuffle),
+    so membership is i.i.d. per observation: the joint law is the exact mixture.
     """
     rng = seed if isinstance(seed, np.random.Generator) else replicate_rng(int(seed), 0)
-    mask, u, x = _draw(spec, rng)
-    data = np.empty(spec.n, dtype=np.float64)
-    data[~mask] = spec.noise.quantile(u)
-    data[mask] = x
+    u, x = _draw(spec, rng)
+    data = np.concatenate((spec.noise.quantile(u), x))
+    rng.shuffle(data)
     return data, x.size
 
 
 def _sample_pvalues(spec: MixtureSpec, rng) -> np.ndarray:
     """The p-values of one ``_draw``, unsorted: noise uniforms as drawn, signal via F_0."""
-    _, u, x = _draw(spec, rng)
+    u, x = _draw(spec, rng)
     return np.concatenate((u, _pit(x, spec.noise)))
 
 

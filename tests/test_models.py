@@ -310,6 +310,23 @@ def test_signal_count_is_binomial():
     assert ks.std() > 0  # actually random, not a constant
 
 
+def test_sample_mixture_membership_is_iid_per_position():
+    """Each position holds a signal with probability eps, whatever its index:
+    at theta = 12, x > theta/2 tells a signal from noise."""
+    n, seeds, eps = 10, 400, 0.5
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 72.0 / math.log(n), n,
+                       epsilon_override=eps)
+    assert spec.theta == pytest.approx(12.0)
+    hits = np.zeros(n, dtype=int)
+    for seed in range(seeds):
+        data, k = sample_mixture(spec, seed)
+        is_signal = data > spec.theta / 2
+        assert is_signal.sum() == k
+        hits += is_signal
+    lo, hi = stats.binom.ppf([0.0005, 0.9995], seeds, eps)
+    assert np.all((hits >= lo) & (hits <= hi)), hits
+
+
 def test_sample_mixture_accepts_generator():
     spec = MixtureSpec(mixture_family("normal"), 0.6, 0.4, 200)
     data, k = sample_mixture(spec, np.random.default_rng(5))
@@ -326,9 +343,10 @@ _FAMILY_REGIMES = [(name, regime) for name, (regimes, _, _) in _FAMILIES.items()
 @pytest.mark.parametrize("eps", [None, 0.0, 1.0])
 @pytest.mark.parametrize("name,regime", _FAMILY_REGIMES)
 def test_pvalue_draw_matches_the_raw_data_route(name, regime, eps, n):
-    """The power cells' p-value draw against ``to_pvalues(sample_mixture(...))``:
-    the same generator consumption, the same signal p-values, the noise
-    p-values exactly the open uniforms, and S_n equal to rounding."""
+    """The power cells' p-value draw against the documented stream layout (the
+    same generator consumption, the noise p-values exactly the open uniforms,
+    the same signal p-values) and against ``to_pvalues(sample_mixture(...))``
+    (the same sorted p-values and S_n, to rounding)."""
     fam = mixture_family(name, regime=regime, **_PARAMS.get(name, {}))
     beta = 0.6 if regime == "sparse" else 0.3
     spec = MixtureSpec(fam, beta, 0.4, n, epsilon_override=eps)
@@ -338,12 +356,12 @@ def test_pvalue_draw_matches_the_raw_data_route(name, regime, eps, n):
         p = _sample_pvalues(spec, fast_rng)
         fast = SortedPValueSample.from_values(p)
         raw = to_pvalues(sample_mixture(spec, raw_rng)[0], spec.noise)
-        np.testing.assert_equal(fast_rng.bit_generator.state, raw_rng.bit_generator.state)
         np.testing.assert_allclose(fast.values, raw.values, rtol=1e-12, atol=0.0)
-        # the documented layout: mask, then n-k noise uniforms, then k signal draws
-        k = int(np.count_nonzero(ref_rng.random(n) < spec.epsilon))
+        # the documented layout: binomial count k, then n-k noise uniforms, then k signal draws
+        k = int(ref_rng.binomial(n, spec.epsilon))
         u = uniform_open(ref_rng, n - k)
         signal = to_pvalues(spec.signal.sample(k, ref_rng), spec.noise).values if k else []
+        np.testing.assert_equal(fast_rng.bit_generator.state, ref_rng.bit_generator.state)
         np.testing.assert_array_equal(np.sort(p[n - k:]), signal)
         np.testing.assert_array_equal(p[: n - k], u)
         np.testing.assert_allclose(sup_statistic_values(fast, five_s),

@@ -27,9 +27,12 @@ def test_replicate_streams_do_not_overlap():
 
 
 def _draws(rng) -> list:
-    # 64-bit, 32-bit and double draws in odd counts: each leaves part of a Philox
-    # block (four 64-bit words) or half a word behind for the next replicate
-    return [rng.integers(0, 7, size=3, dtype=np.int32), rng.random(5),
+    # binomials first, as every mixture replicate starts: inversion (n*p < 30),
+    # BTPE (n*p >= 30) and a p > 1/2 (drawn through 1 - p); then 64-bit, 32-bit
+    # and double draws in odd counts: each leaves part of a Philox block (four
+    # 64-bit words) or half a word behind for the next replicate
+    return [rng.binomial(10, 0.3), rng.binomial(10_000, 0.01), rng.binomial(1000, 0.7),
+            rng.integers(0, 7, size=3, dtype=np.int32), rng.random(5),
             uniform_open(rng, 7), rng.integers(1, 1 << 53, size=1)]
 
 
