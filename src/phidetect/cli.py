@@ -79,27 +79,31 @@ def default_cache_dir(flag_value=None) -> str:
     return os.environ.get("PHIDETECT_CACHE", ".phidetect-cache")
 
 
+def _read_rows(path, width: int, what: str) -> np.ndarray:
+    """The (m, width) array of comma-separated reals, one row per non-empty line
+    (a trailing comma allowed, the first may be a header); errors name the line."""
+    lines = [(lineno, raw) for lineno, raw in
+             enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1) if raw.strip()]
+    rows = []
+    for k, (lineno, raw) in enumerate(lines):
+        try:
+            row = [float(p) for p in raw.strip().rstrip(",").split(",")]
+        except ValueError:
+            if k == 0:
+                continue  # header
+            row = []
+        if len(row) != width:
+            raise DomainError(f"line {lineno}: expected {what}, got {raw!r}")
+        rows += row
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
 def read_data_file(path) -> np.ndarray:
     """One real per line, or a single-column CSV whose first line is a header."""
-    text = Path(path).read_text(encoding="utf-8")
-    values: list[float] = []
-    header_allowed = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        token = line.rstrip(",").strip()
-        try:
-            values.append(float(token))
-        except ValueError:
-            if header_allowed and not values:
-                header_allowed = False
-                continue
-            raise DomainError(f"line {lineno}: cannot parse {raw!r} as a number") from None
-        header_allowed = False
-    if len(values) < 2:
+    values = _read_rows(path, 1, "a number")[:, 0]
+    if values.size < 2:
         raise DomainError("need n >= 2 data values")
-    return np.asarray(values, dtype=np.float64)
+    return values
 
 
 def _strict_json(value):
@@ -326,20 +330,7 @@ def cmd_power(args) -> int:
 
 def _read_gamma_table(path) -> tuple[np.ndarray, np.ndarray]:
     """'t,gamma' rows, one per non-empty line; the first of them may be a header."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = []
-    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
-    for k, (lineno, raw) in enumerate(lines):
-        parts = [p.strip() for p in raw.strip().split(",")]
-        if len(parts) != 2:
-            raise DomainError(f"line {lineno}: expected 't,gamma' pairs, got {raw!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            if k == 0:
-                continue  # header
-            raise DomainError(f"line {lineno}: cannot parse {raw!r}") from None
-    t, g = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+    t, g = _read_rows(path, 2, "'t,gamma' pairs").T
     if t.size < 2 or np.any(np.diff(t) <= 0):
         raise DomainError("gamma table needs >= 2 rows with strictly increasing t")
     return t, g

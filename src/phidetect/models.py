@@ -13,14 +13,16 @@ three conventions, fixed per family:
 Exponential families are tilts ``dP_theta/dP_0 = C(theta) exp(theta T(x))``
 of a base noise distribution, each with a closed-form tilted law.  Every
 shipped family is the scale tilt of a statistic g(X) ~ Exp(1) under P_0, with
-T = -g, so ``ExponentialFamily`` states the shared facts once: omega(theta) =
-1/(1+theta) on theta > -1, Var T = 1 and p = 1.
+T = -g, so ``ExponentialFamily(name, base)`` states the shared facts once:
+omega(theta) = 1/(1+theta) on theta > -1, Var T = 1 and p = 1; the base law
+supplies g and its tilted law.
 
 The named mixture families live in one registry, ``_FAMILIES``: each CLI
-name maps to its regimes (default first), the parameters it takes and a
-builder.  ``mixture_family`` is the one constructor for a registered family
-and rejects any other regime or parameter; ``expfam_mixture`` builds a
-mixture from any ``ExponentialFamily``.
+name maps to its regimes (default first), the parameters it takes with their
+defaults, and a signal-law builder.  ``mixture_family`` is the one
+constructor of a ``MixtureFamily(name, regime, law)`` and rejects any other
+regime or parameter.  Families hold only values, so they pickle and compare
+equal by value.
 
 The diagnostics H_n, H~_n (curves over v) and the exponent h_n(t) quantify
 detectability; they are exact formula evaluations, no simulation.
@@ -28,7 +30,6 @@ detectability; they are exact formula evaluations, no simulation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,7 +54,6 @@ __all__ = [
     "scale_frechet_family",
     "MixtureFamily",
     "MixtureSpec",
-    "expfam_mixture",
     "mixture_family",
     "sample_mixture",
     "to_pvalues",
@@ -168,6 +168,13 @@ class Exponential(Distribution):
     def quantile_upper(self, eps):
         return -self.scale * np.log(_check_unit_open(eps))
 
+    def _exp1(self, x):
+        """g(x) = x/scale, Exp(1) under this law."""
+        return x / self.scale
+
+    def _exp1_tilt(self, theta: float) -> Exponential:
+        return Exponential(self.scale / (1.0 + theta))
+
 
 @dataclass(frozen=True)
 class Gumbel(Distribution):
@@ -189,6 +196,13 @@ class Gumbel(Distribution):
 
     def quantile_upper(self, eps):
         return self.loc - np.log(-np.log1p(-_check_unit_open(eps)))
+
+    def _exp1(self, x):
+        """g(x) = exp(-(x - loc)), Exp(1) under this law."""
+        return np.exp(-(x - self.loc))
+
+    def _exp1_tilt(self, theta: float) -> Gumbel:
+        return Gumbel(self.loc + math.log1p(theta))
 
 
 @dataclass(frozen=True)
@@ -216,129 +230,152 @@ class Frechet(Distribution):
     def quantile_upper(self, eps):
         return self.scale * (-np.log1p(-_check_unit_open(eps))) ** (-1.0 / self.shape)
 
+    def _exp1(self, x):
+        """g(x) = (x/scale)^-shape, Exp(1) under this law."""
+        return (x / self.scale) ** (-self.shape)
+
+    def _exp1_tilt(self, theta: float) -> Frechet:
+        try:
+            return Frechet(self.shape, self.scale * (1.0 + theta) ** (1.0 / self.shape))
+        except OverflowError:
+            raise DomainError(f"frechet(shape={self.shape:g}) at theta={theta:g}: the tilted "
+                              "scale (1+theta)^(1/shape) overflows") from None
+
 
 # --------------------------------------------------------------------------
 # exponential families
 
 
+@dataclass(frozen=True)
 class ExponentialFamily:
-    """Tilted family dP_theta/dP_0 = C(theta) exp(theta T(x)) of a statistic
-    with -T ~ Exp(1) under P_0, the scale tilt every shipped family is.
+    """Tilted family dP_theta/dP_0 = C(theta) exp(theta T(x)) of a base law
+    P_0 with a statistic g(X) ~ Exp(1) under it, T = -g: the scale tilt every
+    shipped family is.  ``base`` supplies g (``_exp1``) and the closed-form
+    law under which g ~ Exp(1+theta) (``_exp1_tilt``), which is P_theta.
 
     That law fixes what the class states once: the Laplace transform
-    omega(theta) = E_0 exp(theta T) = 1/(1+theta), finite on ``theta_domain``
-    = (-1, inf), so log C(theta) = log1p(theta); and the regularity exponent
+    omega(theta) = E_0 exp(theta T) = 1/(1+theta), finite on theta in
+    (-1, inf), so log C(theta) = log1p(theta); and the regularity exponent
     p = 1 of T near its essential supremum, T_sup - T(Q_0(u near signal
     tail)) ~ u^{1/p} (``tail_exponent``).
-
-    Parameters
-    ----------
-    base:
-        The noise law P_0.
-    statistic:
-        Vectorised natural statistic T.
-    tilted:
-        Closed-form constructor theta -> Distribution for P_theta.
     """
 
-    theta_domain = (-1.0, math.inf)
+    name: str
+    base: Distribution
+
     tail_exponent = 1.0
 
-    def __init__(
-        self,
-        base: Distribution,
-        statistic: Callable,
-        *,
-        name: str = "expfam",
-        tilted: Callable,
-    ):
-        self.base = base
-        self.T = statistic
-        self.name = name
-        self._tilted = tilted
+    def T(self, x):
+        """The natural statistic T = -g, vectorised."""
+        return -self.base._exp1(np.asarray(x, dtype=np.float64))
 
     def _check_theta(self, theta: float) -> float:
         theta = float(theta)
-        lo, hi = self.theta_domain
-        if not (lo < theta < hi):
-            raise DomainError(
-                f"theta={theta} outside the finite-Laplace domain ({lo}, {hi}) of {self.name}"
-            )
+        if not -1.0 < theta < math.inf:
+            raise DomainError(f"theta={theta} outside the finite-Laplace domain (-1.0, inf) "
+                              f"of {self.name}")
         return theta
 
     def log_ratio(self, theta: float) -> Callable:
         """x -> log(dP_theta/dP_0)(x) = log C(theta) + theta*T(x)."""
         theta = self._check_theta(theta)
         log_c = math.log1p(theta)
-        T = self.T
-
-        def ratio(x):
-            return log_c + theta * np.asarray(T(np.asarray(x, dtype=np.float64)))
-
-        return ratio
+        return lambda x: log_c + theta * self.T(x)
 
     def tilted(self, theta: float) -> Distribution:
         """The law P_theta."""
-        return self._tilted(self._check_theta(theta))
+        return self.base._exp1_tilt(self._check_theta(theta))
+
+    def theta(self, r: float, n: int, regime: str) -> float:
+        """theta_n = n^r in the sparse regime, n^-r in the dense one."""
+        return float(n) ** (r if regime == "sparse" else -r)
+
+    def boundary_kind(self, regime: str) -> str:
+        return f"expfam-{regime}"
 
 
 def scale_exponential_family() -> ExponentialFamily:
     """Exp(1) base tilted by T(x) = -x: P_theta = Exp(rate 1+theta)."""
-    return ExponentialFamily(Exponential(1.0), lambda x: -np.asarray(x, dtype=np.float64),
-                             name="scale-exponential",
-                             tilted=lambda th: Exponential(1.0 / (1.0 + th)))
+    return ExponentialFamily("scale-exponential", Exponential(1.0))
 
 
 def location_gumbel_family() -> ExponentialFamily:
     """Gumbel base tilted by T(x) = -exp(-x): P_theta = Gumbel(log(1+theta))."""
-    return ExponentialFamily(Gumbel(0.0), lambda x: -np.exp(-np.asarray(x, dtype=np.float64)),
-                             name="location-gumbel", tilted=lambda th: Gumbel(math.log1p(th)))
+    return ExponentialFamily("location-gumbel", Gumbel(0.0))
 
 
 def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
     """Frechet(shape) base tilted by T(x) = -x^{-shape}: scale (1+theta)^{1/shape}."""
-    a = float(shape)
-
-    def tilted(th: float) -> Frechet:
-        try:
-            return Frechet(a, (1.0 + th) ** (1.0 / a))
-        except OverflowError:
-            raise DomainError(f"scale-frechet(shape={a:g}) at theta={th:g}: the tilted scale "
-                              "(1+theta)^(1/shape) overflows") from None
-
-    return ExponentialFamily(Frechet(a, 1.0), lambda x: -np.asarray(x, dtype=np.float64) ** (-a),
-                             name=f"scale-frechet(shape={a:g})", tilted=tilted)
+    return ExponentialFamily(f"scale-frechet(shape={float(shape):g})", Frechet(float(shape)))
 
 
 # --------------------------------------------------------------------------
 # mixtures
 
 
-class _ThetaRule(enum.Enum):
-    SPARSE_POWER = "n^r"
-    DENSE_INVERSE_POWER = "n^-r"
-    NORMAL_LOCATION = "sqrt(2 r log n)"
+@dataclass(frozen=True)
+class _NormalShift:
+    """N(theta, sigma0^2) signal against N(0, 1) noise, theta_n = sqrt(2 r log n).
+
+    ``sigma0=None`` is the normal location model, the one with a closed-form
+    boundary; a number is the heteroscedastic family, which has none.
+    """
+
+    sigma0: float | None = None
+
+    base = Normal()
+    tail_exponent = None
+
+    def __post_init__(self):
+        if self.sigma0 is not None and not 0.0 < self.sigma0 < math.inf:
+            raise DomainError(f"heteroscedastic-normal needs finite sigma0 > 0, got {self.sigma0}")
+
+    def log_ratio(self, theta: float) -> Callable:
+        """x -> log(dN(theta, sigma0^2)/dN(0, 1))(x)."""
+        s = self.sigma0
+        if s is None:
+            return lambda x: theta * np.asarray(x, dtype=np.float64) - 0.5 * theta * theta
+
+        def ratio(x):
+            xa = np.asarray(x, dtype=np.float64)
+            return -math.log(s) + 0.5 * xa**2 - 0.5 * ((xa - theta) / s) ** 2
+
+        return ratio
+
+    def tilted(self, theta: float) -> Normal:
+        return Normal(theta, self.sigma0 or 1.0)
+
+    def theta(self, r: float, n: int, regime: str) -> float:
+        return math.sqrt(2.0 * r * math.log(n))
+
+    def boundary_kind(self, regime: str) -> str | None:
+        return "normal-sparse" if self.sigma0 is None else None
 
 
 @dataclass(frozen=True)
 class MixtureFamily:
-    """A named mixture construction: noise law + signal law as a function of theta."""
+    """A named mixture: a regime and a signal law, which holds the noise law P_0
+    (``base``), the theta_n rule and P_theta.  Values only, so it pickles."""
 
     name: str
     regime: str  # 'sparse' or 'dense'
-    noise: Distribution
-    theta_rule: _ThetaRule
-    signal_of: Callable[[float], Distribution]
-    log_ratio_of: Callable[[float], Callable]
-    boundary_kind: str | None = None  # key into boundary.classify, when known
-    tail_exponent: float | None = None
+    law: ExponentialFamily | _NormalShift
+
+    @property
+    def noise(self) -> Distribution:
+        return self.law.base
+
+    @property
+    def boundary_kind(self) -> str | None:
+        """The key into boundary.classify, when the family has a closed-form boundary."""
+        return self.law.boundary_kind(self.regime)
+
+    @property
+    def tail_exponent(self) -> float | None:
+        return self.law.tail_exponent
 
     def theta(self, r: float, n: int) -> float:
-        if self.theta_rule is _ThetaRule.SPARSE_POWER:
-            return float(n) ** r
-        if self.theta_rule is _ThetaRule.DENSE_INVERSE_POWER:
-            return float(n) ** (-r)
-        return math.sqrt(2.0 * r * math.log(n))
+        return self.law.theta(r, n, self.regime)
 
 
 @dataclass(frozen=True)
@@ -393,87 +430,20 @@ class MixtureSpec:
 
     @property
     def signal(self) -> Distribution:
-        return self.family.signal_of(self.theta)
+        return self.family.law.tilted(self.theta)
 
     def log_ratio(self) -> Callable:
         """x -> log(d mu_n / d P_0)(x)."""
-        return self.family.log_ratio_of(self.theta)
+        return self.family.law.log_ratio(self.theta)
 
 
-def _normal_location(regime: str) -> MixtureFamily:
-    """N(0,1) noise vs N(theta_n, 1) signal, theta_n = sqrt(2 r log n)."""
-
-    def ratio_of(theta: float) -> Callable:
-        def ratio(x):
-            return theta * np.asarray(x, dtype=np.float64) - 0.5 * theta * theta
-
-        return ratio
-
-    return MixtureFamily(
-        name="normal",
-        regime=regime,
-        noise=Normal(),
-        theta_rule=_ThetaRule.NORMAL_LOCATION,
-        signal_of=lambda th: Normal(mu=th),
-        log_ratio_of=ratio_of,
-        boundary_kind="normal-sparse",
-    )
-
-
-def _heteroscedastic_normal(regime: str, sigma0: float = 1.0) -> MixtureFamily:
-    """N(0,1) noise vs N(theta_n, sigma0^2) signal; no closed boundary wired."""
-    if not sigma0 > 0.0:
-        raise DomainError("sigma0 must be positive")
-
-    def ratio_of(theta: float) -> Callable:
-        def ratio(x):
-            xa = np.asarray(x, dtype=np.float64)
-            return -math.log(sigma0) + 0.5 * xa**2 - 0.5 * ((xa - theta) / sigma0) ** 2
-
-        return ratio
-
-    return MixtureFamily(
-        name=f"heteroscedastic-normal(sigma0={sigma0:g})",
-        regime=regime,
-        noise=Normal(),
-        theta_rule=_ThetaRule.NORMAL_LOCATION,
-        signal_of=lambda th: Normal(mu=th, sigma=sigma0),
-        log_ratio_of=ratio_of,
-    )
-
-
-def expfam_mixture(family: ExponentialFamily, regime: str, name: str | None = None) -> MixtureFamily:
-    """Mixture whose signal is the exponential-family tilt P_(theta_n)."""
-    if regime not in ("sparse", "dense"):
-        raise DomainError("regime must be 'sparse' or 'dense'")
-    rule = _ThetaRule.SPARSE_POWER if regime == "sparse" else _ThetaRule.DENSE_INVERSE_POWER
-    kind = "expfam-sparse" if regime == "sparse" else "expfam-dense"
-    return MixtureFamily(
-        name=name or f"{family.name}[{regime}]",
-        regime=regime,
-        noise=family.base,
-        theta_rule=rule,
-        signal_of=family.tilted,
-        log_ratio_of=family.log_ratio,
-        boundary_kind=kind,
-        tail_exponent=family.tail_exponent,
-    )
-
-
-def _tilt(factory: Callable[..., ExponentialFamily], name: str) -> Callable[..., MixtureFamily]:
-    """Registry builder for the mixture of an exponential-family tilt."""
-    return lambda regime, **params: expfam_mixture(factory(**params), regime, name=name)
-
-
-#: CLI name -> (regimes, default first; parameter names; builder(regime, **params)).
+#: CLI name -> (regimes, default first; parameters with their defaults; law builder).
 _FAMILIES = {
-    "normal": (("sparse",), (), _normal_location),
-    "heteroscedastic-normal": (("sparse",), ("sigma0",), _heteroscedastic_normal),
-    "scale-exponential": (("dense", "sparse"), (),
-                          _tilt(scale_exponential_family, "scale-exponential")),
-    "location-gumbel": (("sparse", "dense"), (), _tilt(location_gumbel_family, "location-gumbel")),
-    "scale-frechet": (("sparse", "dense"), ("shape",),
-                      _tilt(scale_frechet_family, "scale-frechet")),
+    "normal": (("sparse",), {}, _NormalShift),
+    "heteroscedastic-normal": (("sparse",), {"sigma0": 1.0}, _NormalShift),
+    "scale-exponential": (("dense", "sparse"), {}, scale_exponential_family),
+    "location-gumbel": (("sparse", "dense"), {}, location_gumbel_family),
+    "scale-frechet": (("sparse", "dense"), {"shape": 1.0}, scale_frechet_family),
 }
 
 
@@ -485,16 +455,17 @@ def mixture_family(name: str, *, regime: str | None = None, **params) -> Mixture
     key = name.strip().lower()
     if key not in _FAMILIES:
         raise DomainError(f"unknown mixture family {name!r}; known: {', '.join(_FAMILIES)}")
-    regimes, takes, build = _FAMILIES[key]
+    regimes, defaults, build = _FAMILIES[key]
     regime = regimes[0] if regime is None else regime
     if regime not in regimes:
         raise DomainError(f"mixture family {key!r} has no regime {regime!r}; "
                           f"it has: {', '.join(regimes)}")
-    unknown = ", ".join(sorted(set(params) - set(takes)))
+    unknown = ", ".join(sorted(set(params) - set(defaults)))
     if unknown:
         raise DomainError(f"mixture family {key!r} takes no parameter {unknown}; "
-                          f"it takes: {', '.join(takes) or 'none'}")
-    return build(regime, **{k: float(v) for k, v in params.items()})
+                          f"it takes: {', '.join(defaults) or 'none'}")
+    params = {**defaults, **{k: float(v) for k, v in params.items()}}
+    return MixtureFamily(key, regime, build(**params))
 
 
 def _draw(spec: MixtureSpec, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import math
-from dataclasses import dataclass, replace
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from phidetect import (
     Exponential,
     Frechet,
     Gumbel,
+    MixtureFamily,
     MixtureSpec,
     Normal,
     SortedPValueSample,
     Uniform,
+    classify,
     diagnostic_H,
     diagnostic_H_sparse,
     h_exponent,
@@ -100,7 +103,9 @@ def test_parameter_validation():
                 lambda: Frechet(1.0, -2.0), lambda: Frechet(math.inf),
                 lambda: Frechet(math.nan), lambda: Frechet(1.0, math.inf),
                 lambda: Frechet(1.0, math.nan),
-                lambda: mixture_family("scale-frechet", shape=math.inf)):
+                lambda: mixture_family("scale-frechet", shape=math.inf),
+                lambda: mixture_family("heteroscedastic-normal", sigma0=math.inf),
+                lambda: mixture_family("heteroscedastic-normal", sigma0=math.nan)):
         with pytest.raises(DomainError):
             bad()
 
@@ -337,6 +342,39 @@ def test_sample_mixture_accepts_generator():
 _PARAMS = {"heteroscedastic-normal": {"sigma0": 0.5}, "scale-frechet": {"shape": 2.0}}
 _FAMILY_REGIMES = [(name, regime) for name, (regimes, _, _) in _FAMILIES.items()
                    for regime in regimes]
+#: (boundary_kind, tail_exponent, theta(0.4, 100)) of each family with its _PARAMS
+_FAMILY_VALUES = {
+    ("normal", "sparse"): ("normal-sparse", None, 1.9194103648752328),
+    ("heteroscedastic-normal", "sparse"): (None, None, 1.9194103648752328),
+    ("scale-exponential", "dense"): ("expfam-dense", 1.0, 0.15848931924611134),
+    ("scale-exponential", "sparse"): ("expfam-sparse", 1.0, 6.309573444801933),
+    ("location-gumbel", "sparse"): ("expfam-sparse", 1.0, 6.309573444801933),
+    ("location-gumbel", "dense"): ("expfam-dense", 1.0, 0.15848931924611134),
+    ("scale-frechet", "sparse"): ("expfam-sparse", 1.0, 6.309573444801933),
+    ("scale-frechet", "dense"): ("expfam-dense", 1.0, 0.15848931924611134),
+}
+
+
+@pytest.mark.parametrize("name,regime", _FAMILY_REGIMES)
+def test_families_are_values(name, regime):
+    """A family, and a spec built from it, survive a pickle round trip and
+    compare and hash equal; ``classify`` reads the family's boundary kind and
+    tail exponent."""
+    fam = mixture_family(name, regime=regime, **_PARAMS.get(name, {}))
+    beta = 0.6 if regime == "sparse" else 0.3
+    spec = MixtureSpec(fam, beta, 0.4, 100)
+    rebuilt = mixture_family(name, regime=regime, **_PARAMS.get(name, {}))
+    assert rebuilt == fam and hash(rebuilt) == hash(fam)
+    for value in (fam, spec):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
+    kind, p, theta = _FAMILY_VALUES[name, regime]
+    assert (fam.boundary_kind, fam.tail_exponent, fam.theta(0.4, 100)) == (kind, p, theta)
+    if kind is None:
+        with pytest.raises(DomainError):
+            classify(fam, beta, 0.4)
+    else:
+        assert classify(fam, beta, 0.4) == classify(kind, beta, 0.4, p=p)
 
 
 @pytest.mark.parametrize("n", [2, 100, 10_000])
@@ -423,9 +461,21 @@ class _Window(Distribution):
         return np.asarray(u, dtype=np.float64) * self.width
 
 
+@dataclass(frozen=True)
+class _WindowLaw:
+    """A signal law whose noise is Uniform() and whose signal is _Window(0.01)."""
+
+    base = Uniform()
+
+    def theta(self, r, n, regime):
+        return 0.0
+
+    def tilted(self, theta):
+        return _Window(0.01)
+
+
 def _window_spec():
-    fam = replace(mixture_family("normal"), noise=Uniform(),
-                  signal_of=lambda th: _Window(0.01))
+    fam = MixtureFamily("window", "sparse", _WindowLaw())
     return MixtureSpec(fam, 0.6, 0.0, 100, epsilon_override=0.1)
 
 
