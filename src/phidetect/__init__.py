@@ -42,11 +42,8 @@ from .models import (
     diagnostic_H,
     diagnostic_H_sparse,
     h_exponent,
-    location_gumbel_family,
     mixture_family,
     sample_mixture,
-    scale_exponential_family,
-    scale_frechet_family,
     signal_cdf_transformed,
     to_pvalues,
 )

@@ -69,10 +69,12 @@ def stable_seed(*parts: int | float | str) -> int:
     """Deterministic 63-bit seed from primitive values.
 
     Built on SHA-256 rather than ``hash()`` so the result does not depend on
-    ``PYTHONHASHSEED`` or the process.  Floats are canonicalised via ``repr``
-    (shortest round-trip form).
+    ``PYTHONHASHSEED`` or the process.  Floats, numpy's too, are canonicalised
+    as ``repr(float(p))`` (shortest round-trip form), numpy integers as ``int``,
+    so a numpy scalar seeds as the Python number of its value.
     """
-    canon = [repr(p) if isinstance(p, float) else p for p in parts]
+    canon = [int(p) if isinstance(p, np.integer)
+             else repr(float(p)) if isinstance(p, (float, np.floating)) else p for p in parts]
     blob = json.dumps(canon, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1

@@ -60,10 +60,11 @@ def rho_dense(beta: float) -> float:
 
 
 def beta_sharp_expfam(r: float, p: float) -> float:
-    """Sparse exponential-family threshold beta^#(r, p) = (min(rp, 1) + 1)/2."""
+    """Sparse exponential-family threshold beta^#(r, p) = (min(rp, 1) + 1)/2 for
+    finite r >= 0 and p > 0; 1/2 at r = 0, its r -> 0 limit."""
     r, p = float(r), float(p)
-    if not (r > 0.0 and p > 0.0):
-        raise DomainError(f"beta_sharp_expfam needs r > 0 and p > 0, got r={r}, p={p}")
+    if not (0.0 <= r < math.inf and 0.0 < p < math.inf):
+        raise DomainError(f"beta_sharp_expfam needs finite r >= 0 and p > 0, got r={r}, p={p}")
     return (min(r * p, 1.0) + 1.0) / 2.0
 
 

@@ -82,8 +82,8 @@ def default_cache_dir(flag_value=None) -> str:
 def _read_rows(path, width: int, what: str) -> np.ndarray:
     """The (m, width) array of comma-separated reals, one row per non-empty line
     (a trailing comma allowed, the first may be a header); errors name the line."""
-    lines = [(lineno, raw) for lineno, raw in
-             enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1) if raw.strip()]
+    text = Path(path).read_text(encoding="utf-8-sig")  # a BOM would hide the first value
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
     rows = []
     for k, (lineno, raw) in enumerate(lines):
         try:
@@ -256,7 +256,7 @@ def _ini_integer(text: str, key: str) -> int:
 
 def _load_ini(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         cp.read_file(fh)
     return cp
 
@@ -295,11 +295,7 @@ def _power_config_from_ini(cp: configparser.ConfigParser, workers: int,
         table_seed=table_seed,
         workers=workers,
     )
-    out_paths = {
-        "csv": output.get("csv", None) if output else None,
-        "json": output.get("json", None) if output else None,
-    }
-    return config, out_paths
+    return config, {"csv": output.get("csv"), "json": output.get("json")}
 
 
 def cmd_power(args) -> int:

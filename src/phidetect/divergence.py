@@ -183,17 +183,15 @@ def phi(s: float, x) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.ndarray:
+def _k_into(s: float, u, cu, v, cv, d, out, a, b) -> np.ndarray:
     """K_s(u, v) into ``out``; ``cu``, ``cv`` are 1 - u, 1 - v and ``d`` = u - v.
 
     The one switch over the K_s forms: every K_s evaluation in the package
     goes through it, or through its ``_chi2`` for K_-1 per u-step.  ``s``
     comes from ``_kernel_s``, so s == 0.0 and s == 1.0 select the log forms.
-    ``a`` and ``b`` are scratch.  The log and expm1 forms first fill them with
-    L1 = log(u/v), L2 = log((1-u)/(1-v)), unless ``logs`` says they hold them
-    already; s = 0 and s = 1 leave them intact, so one fill serves both and an
-    expm1 form after them.  Its callers silence overflow once per call or per
-    loop, so the stacked replicate loop's kernel calls pay for no ``errstate``.
+    ``a`` and ``b`` are scratch, which the log and expm1 forms fill with
+    L1 = log(u/v), L2 = log((1-u)/(1-v)).  Its callers silence overflow once per
+    call or per loop, so the stacked loop's kernel calls pay for no ``errstate``.
     """
     if s == 2.0 or s == -1.0:  # d^2 / (2w(1-w)), with w = v for s=2 and w = u for s=-1
         w, cw = (v, cv) if s == 2.0 else (u, cu)
@@ -205,12 +203,11 @@ def _k_into(s: float, u, cu, v, cv, d, out, a, b, *, logs: bool = False) -> np.n
         np.add(np.sqrt(cu, out=a), np.sqrt(cv, out=b), out=a)
         out += np.square(np.divide(d, a, out=a), out=a)
         return np.add(out, out, out=out)
-    if not logs:
-        np.log1p(np.divide(d, v, out=a), out=a)
-        if a.max(initial=0.0) == math.inf:  # d/v overflowed: v is subnormal
-            big = a == math.inf
-            a[big] = np.log(u[big]) - np.log(v[big])
-        np.log1p(np.divide(np.negative(d, out=b), cv, out=b), out=b)
+    np.log1p(np.divide(d, v, out=a), out=a)
+    if a.max(initial=0.0) == math.inf:  # d/v overflowed: v is subnormal
+        big = a == math.inf
+        a[big] = np.log(u[big]) - np.log(v[big])
+    np.log1p(np.divide(np.negative(d, out=b), cv, out=b), out=b)
     if s == 0.0:
         np.multiply(v, a, out=out)
         out += cv * b
@@ -276,26 +273,24 @@ def _chi2_rows(x: np.ndarray, n: int, ws: _Ws, kn: bool) -> np.ndarray:
 
 def _k_groups(groups: np.ndarray, x: np.ndarray, ws: _Ws, screened: tuple[float, ...]):
     """Rows K_s, one per s in ``screened``, at both candidates of each u-group in
-    ``groups`` (slots of ``x``), interleaved: one gather.  Only a log form leaves
-    the L1/L2 fill in ``a``, ``b`` for the next s, so ``_plan`` puts s = 0, 1 first."""
+    ``groups`` (slots of ``x``), interleaved: one gather."""
     iu, iv = np.repeat(groups, 2), (groups[:, None] + (0, 1)).ravel()
     u, v, cv = ws.ur[iu], x[iv], ws.cx[iv]
     cu, d = 1.0 - u, u - v
     a, b, *ks = out = np.empty((2 + len(screened), iv.size))
-    for s, k, prev in zip(screened, ks, (None, *screened)):
-        _k_into(s, u, cu, v, cv, d, k, a, b, logs=prev == 0.0 or prev == 1.0)
+    for s, k in zip(screened, ks):
+        _k_into(s, u, cu, v, cv, d, k, a, b)
     return out[2:]
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(s_values: tuple[float, ...]):
     """How ``_sup`` serves ``s_values``, as kernel s (``_kernel_s``): the distinct
-    s in (-1, 2), log forms first (see ``_k_groups``); then 2.0 and -1.0, which
-    the screen yields, and the rest.  Also the screen's margin factor (see
-    ``_screened``) and, for each of ``s_values``, its place in that order."""
+    s in (-1, 2); then 2.0 and -1.0, which the screen yields, and the rest.
+    Also the screen's margin factor (see ``_screened``) and, for each of
+    ``s_values``, its place in that order."""
     forms = [_kernel_s(s) for s in s_values]
-    screened = tuple(sorted(dict.fromkeys(s for s in forms if -1.0 < s < 2.0),
-                            key=lambda s: s != 0.0 and s != 1.0))
+    screened = tuple(dict.fromkeys(s for s in forms if -1.0 < s < 2.0))
     keys = (*screened, 2.0, -1.0) if screened else ()
     keys += tuple(s for s in dict.fromkeys(forms) if s not in keys)
     w = max([1.0] + [1.0 / abs(1.0 - s) for s in screened if s != 0.0 and s != 1.0])

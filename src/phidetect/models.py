@@ -13,7 +13,7 @@ three conventions, fixed per family:
 Exponential families are tilts ``dP_theta/dP_0 = C(theta) exp(theta T(x))``
 of a base noise distribution, each with a closed-form tilted law.  Every
 shipped family is the scale tilt of a statistic g(X) ~ Exp(1) under P_0, with
-T = -g, so ``ExponentialFamily(name, base)`` states the shared facts once:
+T = -g, so ``ExponentialFamily(base)`` states the shared facts once:
 omega(theta) = 1/(1+theta) on theta > -1, Var T = 1 and p = 1; the base law
 supplies g and its tilted law.
 
@@ -49,9 +49,6 @@ __all__ = [
     "Gumbel",
     "Frechet",
     "ExponentialFamily",
-    "scale_exponential_family",
-    "location_gumbel_family",
-    "scale_frechet_family",
     "MixtureFamily",
     "MixtureSpec",
     "mixture_family",
@@ -87,7 +84,7 @@ class Distribution:
 
     def quantile_upper(self, eps):
         """Upper-tail quantile Q(1 - eps), stable for tiny eps."""
-        return self.quantile(1.0 - np.asarray(eps, dtype=np.float64))
+        raise NotImplementedError
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.quantile(uniform_open(rng, n))
@@ -260,7 +257,6 @@ class ExponentialFamily:
     tail)) ~ u^{1/p} (``tail_exponent``).
     """
 
-    name: str
     base: Distribution
 
     tail_exponent = 1.0
@@ -273,7 +269,7 @@ class ExponentialFamily:
         theta = float(theta)
         if not -1.0 < theta < math.inf:
             raise DomainError(f"theta={theta} outside the finite-Laplace domain (-1.0, inf) "
-                              f"of {self.name}")
+                              f"of the {self.base.name} tilt")
         return theta
 
     def log_ratio(self, theta: float) -> Callable:
@@ -292,21 +288,6 @@ class ExponentialFamily:
 
     def boundary_kind(self, regime: str) -> str:
         return f"expfam-{regime}"
-
-
-def scale_exponential_family() -> ExponentialFamily:
-    """Exp(1) base tilted by T(x) = -x: P_theta = Exp(rate 1+theta)."""
-    return ExponentialFamily("scale-exponential", Exponential(1.0))
-
-
-def location_gumbel_family() -> ExponentialFamily:
-    """Gumbel base tilted by T(x) = -exp(-x): P_theta = Gumbel(log(1+theta))."""
-    return ExponentialFamily("location-gumbel", Gumbel(0.0))
-
-
-def scale_frechet_family(shape: float = 1.0) -> ExponentialFamily:
-    """Frechet(shape) base tilted by T(x) = -x^{-shape}: scale (1+theta)^{1/shape}."""
-    return ExponentialFamily(f"scale-frechet(shape={float(shape):g})", Frechet(float(shape)))
 
 
 # --------------------------------------------------------------------------
@@ -438,12 +419,14 @@ class MixtureSpec:
 
 
 #: CLI name -> (regimes, default first; parameters with their defaults; law builder).
+#: The tilts: Exp(1) by T = -x, Gumbel by T = -e^-x, Frechet(shape) by T = -x^-shape.
 _FAMILIES = {
     "normal": (("sparse",), {}, _NormalShift),
     "heteroscedastic-normal": (("sparse",), {"sigma0": 1.0}, _NormalShift),
-    "scale-exponential": (("dense", "sparse"), {}, scale_exponential_family),
-    "location-gumbel": (("sparse", "dense"), {}, location_gumbel_family),
-    "scale-frechet": (("sparse", "dense"), {"shape": 1.0}, scale_frechet_family),
+    "scale-exponential": (("dense", "sparse"), {}, lambda: ExponentialFamily(Exponential())),
+    "location-gumbel": (("sparse", "dense"), {}, lambda: ExponentialFamily(Gumbel())),
+    "scale-frechet": (("sparse", "dense"), {"shape": 1.0},
+                      lambda shape: ExponentialFamily(Frechet(shape))),
 }
 
 

@@ -216,18 +216,18 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
-def _key_digest(n: int, s: float, reps: int, seed: int, rng_id: str) -> str:
+def _key_digest(n: int, s: float, reps: int, seed: int) -> str:
     blob = json.dumps(
         {"n": n, "s": repr(float(s) + 0.0), "reps": reps, "seed": seed,
-         "rng_id": rng_id, "version": CACHE_VERSION},
+         "rng_id": RNG_ID, "version": CACHE_VERSION},
         sort_keys=True,
         separators=(",", ":"),
     )
     return sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
-def cache_path(cache_dir, n: int, s: float, reps: int, seed: int, rng_id: str = RNG_ID) -> Path:
-    return Path(cache_dir) / f"calibration-{_key_digest(n, s, reps, seed, rng_id)}.json"
+def cache_path(cache_dir, n: int, s: float, reps: int, seed: int) -> Path:
+    return Path(cache_dir) / f"calibration-{_key_digest(n, s, reps, seed)}.json"
 
 
 def _stats_digest(sorted_stats: np.ndarray) -> str:
@@ -236,7 +236,7 @@ def _stats_digest(sorted_stats: np.ndarray) -> str:
 
 def cache_store(table: CalibrationTable, cache_dir) -> Path:
     """Persist a table; atomic (write-then-rename), returns the file path."""
-    path = cache_path(cache_dir, table.n, table.s, table.reps, table.seed, table.rng_id)
+    path = cache_path(cache_dir, table.n, table.s, table.reps, table.seed)
     doc = {
         "version": CACHE_VERSION,
         "n": table.n,
@@ -277,16 +277,10 @@ def cache_load(cache_dir, n: int, s: float, reps: int, seed: int) -> Calibration
     key = (doc["n"], doc["s"], doc["reps"], doc["seed"], doc["rng_id"], doc["version"])
     if key != (n, float(s), reps, seed, RNG_ID, CACHE_VERSION):
         return None
-    stats = doc["sorted_stats"]
-    if not isinstance(stats, list) or len(stats) != reps:
-        raise CacheCorruptionError(
-            f"calibration cache file {path} has {len(stats) if isinstance(stats, list) else '?'} "
-            f"entries, expected {reps}"
-        )
     try:
         table = CalibrationTable(
             n=n, s=float(s), reps=reps, seed=seed, rng_id=RNG_ID,
-            sorted_stats=np.asarray(stats, dtype=np.float64),
+            sorted_stats=np.asarray(doc["sorted_stats"], dtype=np.float64),
         )
     except (DomainError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"invalid statistics in cache file {path}: {exc}") from exc

@@ -55,7 +55,8 @@ def test_sparse_expfam_threshold():
     rs = np.linspace(0.05, 3.0, 50)
     vals = [beta_sharp_expfam(r, 1.0) for r in rs]
     assert vals == sorted(vals)
-    for r, p in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+    assert beta_sharp_expfam(0.0, 1.0) == 0.5  # the r -> 0 limit
+    for r, p in ((math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0), (-1.0, 1.0), (0.0, math.inf)):
         with pytest.raises(DomainError):
             beta_sharp_expfam(r, p)
 
@@ -168,6 +169,12 @@ def test_classify_sparse_expfam():
         classify("expfam-sparse", 0.8, 0.5)  # p required
     with pytest.raises(DomainError):
         classify("expfam-sparse", 0.4, 0.5, p=1.0)
+
+
+def test_classify_expfam_sparse_at_r_zero():
+    # classify admits r = 0, as MixtureSpec does: no signal, so undetectable
+    out = classify("expfam-sparse", 0.7, 0.0, p=1.0)
+    assert out.verdict is Verdict.UNDETECTABLE and out.threshold_value == 0.5
 
 
 def test_classify_accepts_family_objects():

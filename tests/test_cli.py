@@ -51,6 +51,23 @@ def test_read_data_file_plain_and_header(tmp_path):
     np.testing.assert_array_equal(read_data_file(headed), [0.1, 0.9])
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_line(capsys, tmp_path):
+    bom = tmp_path / "bom.txt"
+    for text, want in (("0.25\n0.5\n0.75\n", [0.25, 0.5, 0.75]),
+                       ("value\n0.5\n0.75\n", [0.5, 0.75])):
+        bom.write_text(text, encoding="utf-8-sig")
+        np.testing.assert_array_equal(read_data_file(bom), want)
+    bom.write_text("0.0,0.0\n10.0,0.0\n", encoding="utf-8-sig")
+    code, raw, _ = _run(capsys, ["boundary", "--gamma-table", bom, "--json"])
+    assert code == 0 and json.loads(raw)["beta_sharp"] == 0.5
+    ini = tmp_path / "model.ini"
+    outs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        ini.write_text(DIAG_INI, encoding=encoding)
+        outs.append(_run(capsys, ["diagnose", "--model-config", ini, "--v-count", "3"]))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
 def test_read_data_file_names_bad_line(tmp_path):
     bad = tmp_path / "c.txt"
     bad.write_text("0.1\n0.2\noops\n")
@@ -396,6 +413,13 @@ def test_cmd_boundary_classification(capsys):
 def test_cmd_boundary_rejects_a_nan_r(capsys, family, beta):
     code, out, err = _run(capsys, ["boundary", "--family", family, "--beta", beta, "--r", "nan"])
     assert code == 2 and out == "" and "finite and >= 0" in err
+
+
+def test_cmd_boundary_expfam_sparse_takes_a_finite_r(capsys):
+    code, raw, _ = _run(capsys, ["boundary", "--family", "expfam-sparse", "--r", "0", "--json"])
+    assert code == 0 and json.loads(raw)["rows"][0]["threshold"] == 0.5
+    code, out, err = _run(capsys, ["boundary", "--family", "expfam-sparse", "--r", "inf"])
+    assert code == 2 and out == "" and "finite r >= 0" in err
 
 
 def test_cmd_boundary_gamma_table(capsys, tmp_path):

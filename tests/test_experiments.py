@@ -261,6 +261,15 @@ def test_power_sweep_worker_count_invariance(tmp_path):
     assert serial == parallel
 
 
+def test_numpy_integer_seeds_run_as_their_int(tmp_path):
+    assert (power_sweep(_smoke_config(tmp_path, seed=np.int64(424242)))
+            == power_sweep(_smoke_config(tmp_path)))
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.25, 0.25, 100)
+    runs = [boundary_comparison(spec, (2.0,), 0.1, 20, seed, cache_dir=tmp_path, table_reps=100)
+            for seed in (np.int64(3), 3)]
+    assert runs[0] == runs[1]
+
+
 def test_power_sweep_null_override(tmp_path):
     cfg = _smoke_config(tmp_path, rs=(1.5,), epsilon_override=0.0, reps=100,
                         table_reps=1000)

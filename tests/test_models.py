@@ -20,12 +20,9 @@ from phidetect import (
     diagnostic_H,
     diagnostic_H_sparse,
     h_exponent,
-    location_gumbel_family,
     mixture_family,
     replicate_rng,
     sample_mixture,
-    scale_exponential_family,
-    scale_frechet_family,
     signal_cdf_transformed,
     sup_statistic_values,
     to_pvalues,
@@ -143,25 +140,27 @@ def test_density_ratios_match_logpdf_differences():
 # exponential families
 
 
-FAMILIES = [scale_exponential_family(), location_gumbel_family(), scale_frechet_family(2.0)]
+#: The exponential-family laws, by test id.
+TILTS = {"scale-exponential": mixture_family("scale-exponential").law,
+         "location-gumbel": mixture_family("location-gumbel").law,
+         "scale-frechet(shape=2)": mixture_family("scale-frechet", shape=2.0).law}
 
 
 #: A point where theta*T(x) is too small to change log C(theta) + theta*T(x).
-NORMALISER_X = {"scale-exponential": 5e-324, "location-gumbel": 800.0,
-                "scale-frechet(shape=2)": 1e300}
+NORMALISER_X = {"exponential": 5e-324, "gumbel": 800.0, "frechet": 1e300}
 
 
-@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("fam", TILTS.values(), ids=list(TILTS))
 def test_laplace_closed_forms(fam):
     # all three share omega(theta) = 1/(1+theta), so the log normaliser
     # log C(theta) = log1p(theta); log(1 + theta) would lose about eps/theta
     # of it at a small theta
     for theta in (1e-12, 1e-9, 1e-6, 0.01, 3.0):
-        got = float(fam.log_ratio(theta)(NORMALISER_X[fam.name]))
+        got = float(fam.log_ratio(theta)(NORMALISER_X[fam.base.name]))
         assert got == pytest.approx(math.log1p(theta), rel=1e-14, abs=0.0), theta
 
 
-@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("fam", TILTS.values(), ids=list(TILTS))
 def test_var_T_is_one(fam):
     # T is exponential(1)-distributed under each base law here; moments by
     # quadrature on the p-scale
@@ -173,7 +172,7 @@ def test_var_T_is_one(fam):
     assert moment(2) - moment(1) ** 2 == pytest.approx(1.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("fam", TILTS.values(), ids=list(TILTS))
 def test_tilted_density_integrates_to_one(fam):
     ratio = fam.log_ratio(1.5)
     q = fam.base.quantile
@@ -182,15 +181,16 @@ def test_tilted_density_integrates_to_one(fam):
 
 
 def test_tilted_closed_forms():
-    assert scale_exponential_family().tilted(1.0) == Exponential(0.5)
-    assert scale_exponential_family().tilted(0.0) == Exponential(1.0)
-    assert location_gumbel_family().tilted(0.0) == Gumbel(0.0)
-    assert location_gumbel_family().tilted(math.e - 1.0).loc == pytest.approx(1.0, rel=1e-15)
-    assert scale_frechet_family(2.0).tilted(3.0) == Frechet(2.0, 2.0)
+    exp, gumbel, frechet = TILTS.values()
+    assert exp.tilted(1.0) == Exponential(0.5)
+    assert exp.tilted(0.0) == Exponential(1.0)
+    assert gumbel.tilted(0.0) == Gumbel(0.0)
+    assert gumbel.tilted(math.e - 1.0).loc == pytest.approx(1.0, rel=1e-15)
+    assert frechet.tilted(3.0) == Frechet(2.0, 2.0)
 
 
 def test_theta_domain_enforced():
-    fam = scale_exponential_family()
+    fam = TILTS["scale-exponential"]
     for theta in (-1.0, -1.5):
         with pytest.raises(DomainError):
             fam.log_ratio(theta)
@@ -200,8 +200,8 @@ def test_theta_domain_enforced():
     assert float(fam.log_ratio(-0.5)(0.0)) == pytest.approx(math.log(0.5), rel=1e-15)
 
 
-@pytest.mark.parametrize("fam, upper", [pytest.param(f, up, id=f.name)
-                                         for f, up in zip(FAMILIES, (False, True, True))])
+@pytest.mark.parametrize("fam, upper", [pytest.param(f, up, id=key) for (key, f), up
+                                         in zip(TILTS.items(), (False, True, True))])
 def test_fitted_tail_exponent_near_one(fam, upper):
     """Tail regularity: T_sup - T(Q_0(u)) ~ u^{1/p}, so the log-log slope is 1/p.
 

@@ -78,6 +78,13 @@ def test_stable_seed_is_63_bit_and_frozen():
     assert stable_seed(42, "normal", 0.6, 0.5, 2.0, 100_000) == 728768595043116504
 
 
+def test_stable_seed_reads_numpy_scalars_as_python_numbers():
+    # repr(np.float64(0.5)) is 'np.float64(0.5)' under numpy 2; json cannot encode np.int64
+    assert stable_seed(np.float64(0.5)) == stable_seed(0.5)
+    assert stable_seed(np.int64(3)) == stable_seed(3)
+    assert stable_seed(np.int32(42), "normal", np.float32(0.5)) == stable_seed(42, "normal", 0.5)
+
+
 def test_stable_seed_distinguishes_types_and_order():
     assert len({stable_seed(1), stable_seed(1.0), stable_seed("1")}) == 3
     assert stable_seed("a", "b") != stable_seed("b", "a")
