@@ -165,16 +165,12 @@ def test_classify_sparse_expfam():
     assert out.verdict is Verdict.UNDETECTABLE  # beta above beta^# = 0.75
     assert out.margin == pytest.approx(-0.05, rel=1e-10)
     assert classify("expfam-sparse", 0.7, 0.5, p=1.0).verdict is Verdict.DETECTABLE
+    out = classify("expfam-sparse", 0.7, 0.0, p=1.0)  # r = 0, as MixtureSpec admits
+    assert out.verdict is Verdict.UNDETECTABLE and out.threshold_value == 0.5
     with pytest.raises(DomainError):
         classify("expfam-sparse", 0.8, 0.5)  # p required
     with pytest.raises(DomainError):
         classify("expfam-sparse", 0.4, 0.5, p=1.0)
-
-
-def test_classify_expfam_sparse_at_r_zero():
-    # classify admits r = 0, as MixtureSpec does: no signal, so undetectable
-    out = classify("expfam-sparse", 0.7, 0.0, p=1.0)
-    assert out.verdict is Verdict.UNDETECTABLE and out.threshold_value == 0.5
 
 
 def test_classify_accepts_family_objects():

@@ -395,8 +395,8 @@ def test_cmd_boundary_thresholds(capsys, tmp_path):
     assert rows[0]["threshold"] == pytest.approx(0.1, rel=1e-12)
     assert rows[1]["threshold"] == 0.25
     code, raw, _ = _run(capsys, ["boundary", "--family", "expfam-sparse",
-                                 "--r", "0.5", "--p", "1", "--json"])
-    assert json.loads(raw)["rows"][0]["threshold"] == 0.75
+                                 "--r", "0.5,0", "--p", "1", "--json"])
+    assert [row["threshold"] for row in json.loads(raw)["rows"]] == [0.75, 0.5]
 
 
 def test_cmd_boundary_classification(capsys):
@@ -413,13 +413,6 @@ def test_cmd_boundary_classification(capsys):
 def test_cmd_boundary_rejects_a_nan_r(capsys, family, beta):
     code, out, err = _run(capsys, ["boundary", "--family", family, "--beta", beta, "--r", "nan"])
     assert code == 2 and out == "" and "finite and >= 0" in err
-
-
-def test_cmd_boundary_expfam_sparse_takes_a_finite_r(capsys):
-    code, raw, _ = _run(capsys, ["boundary", "--family", "expfam-sparse", "--r", "0", "--json"])
-    assert code == 0 and json.loads(raw)["rows"][0]["threshold"] == 0.5
-    code, out, err = _run(capsys, ["boundary", "--family", "expfam-sparse", "--r", "inf"])
-    assert code == 2 and out == "" and "finite r >= 0" in err
 
 
 def test_cmd_boundary_gamma_table(capsys, tmp_path):
@@ -448,6 +441,8 @@ def test_cmd_boundary_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = _run(capsys, ["boundary"])
     assert code == 2
+    code, out, err = _run(capsys, ["boundary", "--family", "expfam-sparse", "--r", "inf"])
+    assert code == 2 and out == "" and "finite r >= 0" in err
     bad = tmp_path / "bad.csv"
     bad.write_text("t,gamma\n1.0,0.0\n0.5,0.0\n")  # t not increasing
     code, _, err = _run(capsys, ["boundary", "--gamma-table", bad])
