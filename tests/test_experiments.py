@@ -359,9 +359,10 @@ def test_power_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_POWER_CSV_SHA256
 
 
-@pytest.mark.parametrize("n", [2, 1000, 8193, 8194])
+@pytest.mark.parametrize("n", [2, 1000, 8193, 8194, 100_000])
 def test_stacked_power_cell_equals_the_one_row_public_route(n):
-    # stack heights 16384, 16, 2 and 1; neither 37 nor 5 replicates fill their stacks
+    # stack heights 16384, 16, 2, 1 and 1 (a long row); neither 37 nor 5 replicates fill
+    # their stacks
     reps = range(37) if n <= 1000 else range(5)
     cells = (("normal", "sparse", 0.6, 6.0), ("scale-exponential", "dense", 0.2, 0.2))
     ceiling_hit = False

@@ -343,13 +343,23 @@ PINNED_TABLE_SHA256 = {
     (2000, 0.5): "50d5ae524556dd09e6da02ed420c76367f9634a5f1faeec27bd0c5330257565a",
     (2000, 1.0): "d84b01039a3bd4b25a322ee222e6e962fe8cdfcc562a3516636bce3e8fc1eb63",
     (2000, 2.0): "c7f48340c99e1a3e0f024b610bd3c4206101aa6e9c21c20ce3e207320769b53d",
+    (16385, -1.0): "1d41b3ec4b6de126e155587cd5f5a84dbbfb196fedad3137df994e16bec20aa9",
+    (16385, 0.0): "c50e4eac4db1a9aedc6b2b7c750faf4b0b0d83decdb96b82ca853a5a7247e216",
+    (16385, 0.5): "7b2ec0f9944a82c3d17995a15e4392a3e85354dc91f1dbc7a26fb6b56725a610",
+    (16385, 1.0): "05cf7f704f57bf8941bd7d6cb63052fa406f304374647cec839821bfe1bcf140",
+    (16385, 2.0): "77dec34b33e3583aa6cda08b9c0e68feb550faa333a01feaa6e173d9bac6a5a2",
+    (100000, -1.0): "518b825232486b5172f18e41f545ee65c16bdc365836e750539954e79767f4ac",
+    (100000, 0.0): "0df4c8351b75eaa1ad4f61c4425f56c6b4d10102173d77b34ed52f900f58d92f",
+    (100000, 0.5): "8a37fc4b7ef602a39c2ab4fb038749148fe07ddd9aeef661faec9318539be25a",
+    (100000, 1.0): "d0818773a50cd4eccd87d7852aa255aa83194a99749531a686dd63bd99285ba6",
+    (100000, 2.0): "7a2ac87d6976cd70da054227013d45c6cda8c8288a3be7c2b7e794286113da34",
 }
 
 
 def test_cached_table_bytes_are_pinned(tmp_path):
     assert (CACHE_VERSION, RNG_ID) == (2, "philox4x64-counter128-v1")
     got = {}
-    for n in (50, 2000):
+    for n in (50, 2000, 16385, 100_000):  # the last two: long rows (n >= 2^14)
         for table in mc_null_tables(n, (-1.0, 0.0, 0.5, 1.0, 2.0), 200, 20260):
             path = cache_store(table, tmp_path)
             got[(n, table.s)] = hashlib.sha256(path.read_bytes()).hexdigest()
