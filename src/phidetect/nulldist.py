@@ -110,6 +110,7 @@ class CalibrationTable:
         stats.flags.writeable = False
         object.__setattr__(self, "sorted_stats", stats)
         object.__setattr__(self, "s", float(self.s) + 0.0)  # as keyed: -0.0 -> 0.0, 2 -> 2.0
+        object.__setattr__(self, "seed", _seed_key(self.seed))
 
 
 #: Candidates per kernel call in the Monte-Carlo loop: it stacks max(1,
@@ -216,9 +217,13 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
+def _seed_key(seed: int) -> int:  # as keyed and stored: a numpy integer as its int
+    return int(seed) if isinstance(seed, np.integer) else seed
+
+
 def _key_digest(n: int, s: float, reps: int, seed: int) -> str:
     blob = json.dumps(
-        {"n": n, "s": repr(float(s) + 0.0), "reps": reps, "seed": seed,
+        {"n": n, "s": repr(float(s) + 0.0), "reps": reps, "seed": _seed_key(seed),
          "rng_id": RNG_ID, "version": CACHE_VERSION},
         sort_keys=True,
         separators=(",", ":"),

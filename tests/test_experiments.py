@@ -221,14 +221,19 @@ def test_cell_seed_stable_and_distinct():
 
 
 def test_resolved_table_seed(tmp_path):
-    # the sweep's tables are keyed by table_seed, or by a fixed derivation of seed
-    for table_seed, want in ((None, stable_seed(5, "calibration-tables")), (9, 9)):
-        cache = tmp_path / str(table_seed)
+    # the sweep's tables are keyed by table_seed, or by a fixed derivation of seed;
+    # a numpy integer table_seed keys and gives what its int does
+    results = []
+    for table_seed, want in ((None, stable_seed(5, "calibration-tables")), (9, 9),
+                             (np.int64(9), 9)):
+        cache = tmp_path / str(len(results))
         cfg = PowerGridConfig("normal", (0.6,), (0.1,), (2.0,), (100,), reps=2, seed=5,
                               cache_dir=str(cache), table_reps=100, table_seed=table_seed)
-        assert all(r.error is None for r in power_sweep(cfg))
+        results.append(power_sweep(cfg))
+        assert all(r.error is None for r in results[-1])
         want_name = pnull.cache_path("", 100, 2.0, 100, want).name
         assert [p.name for p in cache.iterdir()] == [want_name]
+    assert results[2] == results[1]
 
 
 def _smoke_config(cache_dir, **kw):

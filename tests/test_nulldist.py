@@ -321,6 +321,18 @@ def test_table_key_is_canonical_in_s(tmp_path):
     assert as_int.read_bytes() == as_float.read_bytes()
 
 
+def test_table_key_is_canonical_in_a_numpy_integer_seed(tmp_path):
+    # np.int64(3) names, writes and loads the same file as 3
+    assert cache_path(tmp_path, 100, 2.0, 100, np.int64(3)) == cache_path(tmp_path, 100, 2.0, 100, 3)
+    as_int = ensure_tables(tmp_path / "int", 100, [2.0], 100, 3)[2.0]
+    as_np = ensure_tables(tmp_path / "np", 100, [2.0], 100, np.int64(3))[2.0]
+    assert type(as_np.seed) is int and _same_table(as_np, as_int)
+    (path,) = (tmp_path / "np").iterdir()
+    assert path.read_bytes() == cache_path(tmp_path / "int", 100, 2.0, 100, 3).read_bytes()
+    loaded = cache_load(tmp_path / "np", 100, 2.0, 100, np.int64(3))
+    assert loaded is not None and _same_table(loaded, as_int)
+
+
 def test_stats_roundtrip_exactly_through_json(tmp_path):
     table = mc_null_tables(25, [0.5], 100, 321)[0]
     cache_store(table, tmp_path)
