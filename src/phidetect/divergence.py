@@ -66,16 +66,27 @@ for bit, as fl(a - b) = -fl(b - a).  So K_2 is computed once per order
 statistic, K_-1 once per u-step, and the screen bounds a u-group by the larger
 of its K_-1 and the K_2 at X_i and X_{i+1}: at least B at both its candidates.
 
+Long rows skip the sort.  ``_sup`` takes rows in any order; it sorts a copy
+unless n >= ``_LONG_N`` (2^14) and every s is in [-1, 2].  Then ``_bucketed``
+puts the values in m = 2^k buckets of width 1/m, n/16 < m <= n/8 (floor(m x)
+is exact), and a cumsum of the counts gives bucket k the ranks lo+1..hi.  Its
+candidates lie in the box u in [lo/n, hi/n], X in [k/m, (k+1)/m], where each
+K_s with s in [-1, 2] is at most B <= (largest (u-v)^2)/(2 least u(1-u) or
+v(1-v)).  t is the least over s of the largest K_s in four buckets; only the
+buckets whose bound reaches ``_cut`` below t are sorted, ranked from the
+counts and evaluated, by the ``_k_into`` operations a sorted row's candidates
+get: the maxima are bit-identical, with no n log n sort or n-long K_2 pass.
+
 ``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
 one-row stack) and the Monte-Carlo loop of null tables, power cells and
 boundary comparisons (stacks, ``nulldist._mc_stats``).  Overflow (K_s = inf
 near p = 0) is silenced by ``np.errstate`` in ``sup_statistic_values`` and
-that loop only.  It reads the (R, n) stack in place, flat: slot j - 1 of a row
-holds X_j, K_2 at X_j and u-group j (the last slot no u-group).  Each pass
-covers the stack, so a stack pays numpy's per-call overhead once, and each
-reduction stays in a row, so a row's values do not depend on its stack.  Each
-thread keeps one workspace, for its last n and R (numpy releases the GIL, so a
-shared one would race); no view of it outlives a call.
+that loop only.  A sorted stack is read flat: slot j - 1 of a row holds X_j,
+K_2 at X_j and u-group j (the last slot no u-group).  Each pass covers the
+stack, so a stack pays numpy's per-call overhead once, and each reduction
+stays in a row, so a row's values do not depend on its stack.  Each thread
+keeps one workspace per path, for its last n (and R) (numpy releases the GIL,
+so a shared one would race); no view of it outlives a call.
 """
 
 from __future__ import annotations
@@ -250,8 +261,8 @@ def kappa(s: float, u, v) -> float | np.ndarray:
 
 _thread_slot = threading.local()
 
-#: A thread's workspace: u_i; then, R*n long, u_j, u_{j-1}, 2u(1-u), 1 - X, K_2 and scratch.
-_Ws = collections.namedtuple("_Ws", "u ur ul du cx k2 out a b")
+#: A thread's workspace: u_i; then, R*n long, u_j, u_{j-1}, 2u(1-u), X, 1 - X, K_2 and scratch.
+_Ws = collections.namedtuple("_Ws", "u ur ul du x cx k2 out a b")
 
 
 def _chi2(d, q, out) -> np.ndarray:
@@ -287,8 +298,8 @@ def _k_groups(groups: np.ndarray, x: np.ndarray, ws: _Ws, screened: tuple[float,
 def _plan(s_values: tuple[float, ...]):
     """How ``_sup`` serves ``s_values``, as kernel s (``_kernel_s``): the distinct
     s in (-1, 2); then 2.0 and -1.0, which the screen yields, and the rest.
-    Also the screen's margin factor (see ``_screened``) and, for each of
-    ``s_values``, its place in that order."""
+    Also the screen's margin factor (see ``_screened``), for each of
+    ``s_values`` its place in that order, and whether every s is in [-1, 2]."""
     forms = [_kernel_s(s) for s in s_values]
     screened = tuple(dict.fromkeys(s for s in forms if -1.0 < s < 2.0))
     keys = (*screened, 2.0, -1.0) if screened else ()
@@ -296,7 +307,13 @@ def _plan(s_values: tuple[float, ...]):
     w = max([1.0] + [1.0 / abs(1.0 - s) for s in screened if s != 0.0 and s != 1.0])
     order = np.array([keys.index(s) for s in forms])
     order.flags.writeable = False  # shared by every call with these s_values
-    return screened, keys, w, order
+    return screened, keys, w, order, all(-1.0 <= s <= 2.0 for s in keys)
+
+
+def _cut(t: float, w: float) -> float:
+    """The cut below t, an exact K_s: no bound below it holds a maximum (``_screened``)."""
+    t = max(t, 0.0)
+    return t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf
 
 
 def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: float, vals) -> None:
@@ -326,8 +343,7 @@ def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: fl
     np.maximum(np.maximum(k2[:-1], k2[1:], out=ws.out[:-1]), kn[:-1], out=ws.out[:-1])  # bounds
     top = (np.stack((np.maximum(top2 - 1, 0), np.minimum(top2, n - 2), topn)) + base).ravel()
     ts = _k_groups(top, x, ws, screened).reshape(j, 3, r, 2).max(axis=(1, 3)).min(axis=0)
-    lim = [t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf
-           for t in (max(x, 0.0) for x in ts.tolist())]
+    lim = [_cut(t, w) for t in ts.tolist()]
     # a one-row stack compares with a scalar, several times faster than per row
     keep = (ws.out.reshape(r, n) >= (np.array(lim)[:, None] if r > 1 else lim[0])).ravel()
     keep[n - 1 :: n] = False  # no u-group
@@ -337,31 +353,91 @@ def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: fl
     np.maximum.reduceat(_k_groups(kept, x, ws, screened), starts, axis=1, out=vals[:j])
 
 
+#: Rows this long skip the sort when every s is in [-1, 2]; they are put in
+#: 2^(bit_length(n) - _BUCKET_BITS) buckets, n/16 < m <= n/8.
+_LONG_N, _BUCKET_BITS = 1 << 14, 4
+
+#: A thread's workspace for long rows: bucket ids and a mask (n long); at the m + 1 bucket edges,
+#: counts below, u, u(1-u), v; per bucket, least v(1-v), 1/sqrt(largest v(1-v)); scratch.
+_Lw = collections.namedtuple("_Lw", "ids mask c u q v qv sv e f g")
+
+
+def _k_members(x: np.ndarray, lw: _Lw, flag: np.ndarray, keys: tuple[float, ...]):
+    """Max K_s (at least 0), s in ``keys``, at the values of ``x`` in the buckets ``flag`` marks."""
+    (idx,) = np.take(flag, lw.ids, out=lw.mask).nonzero()
+    v, b = np.sort(x[idx]), np.sort(lw.ids[idx])  # the same order: floor(m x) is monotone
+    j = lw.c[b] + np.arange(1, b.size + 1) - b.searchsorted(b)  # rank: below, then in the bucket
+    n = x.size  # (u_j, X_j), then (u_{j-1}, X_j), with u_0, u_n read as u_1, u_{n-1}
+    u, v = np.concatenate((np.minimum(j, n - 1), np.maximum(j - 1, 1))) / n, np.concatenate((v, v))
+    cu, cv, d = 1.0 - u, 1.0 - v, u - v
+    a, c, *ks = out = np.empty((2 + len(keys), v.size))
+    for s, k in zip(keys, ks):
+        _k_into(s, u, cu, v, cv, d, k, a, c)
+    return out[2:].max(axis=1, initial=0.0)
+
+
+def _bucketed(x: np.ndarray, keys: tuple[float, ...], w: float) -> np.ndarray:
+    """Max K_s (at least 0), s in ``keys`` (all in [-1, 2]), over the row ``x``."""
+    n, lw = x.size, getattr(_thread_slot, "lw", None)
+    if lw is None or lw.ids.size != n:
+        m = 1 << (n.bit_length() - _BUCKET_BITS)
+        q = (v := np.arange(m + 1) / m) * (1.0 - v)
+        lw = _thread_slot.lw = _Lw(np.empty(n, np.intp), np.empty(n, bool), np.zeros(m + 1),
+                                   *np.empty((2, m + 1)), v, np.minimum(q[:-1], q[1:]),
+                                   1.0 / np.sqrt(np.maximum(q[:-1], q[1:])), *np.empty((3, m)))
+    m, u, v, (e, f, g) = lw.qv.size, lw.u, lw.v, lw[-3:]
+    np.multiply(x, m, out=lw.ids, casting="unsafe")  # floor(m x), exact: m = 2^k
+    np.cumsum(np.bincount(lw.ids, minlength=m), out=lw.c[1:])
+    np.divide(lw.c, n, out=u)  # bucket k's candidates: u in [u[k], u[k+1]], X in [v[k], v[k+1]]
+    np.multiply(u, np.subtract(1.0, u, out=lw.q), out=lw.q)
+    # B over the box: the largest (u - v)^2 over the least 2u(1-u) or 2v(1-v)
+    np.square(np.maximum(np.subtract(u[1:], v[:-1], out=e), np.subtract(v[1:], u[:-1], out=f),
+                         out=e), out=e)
+    np.minimum(np.minimum(lw.q[:-1], lw.q[1:], out=f), lw.qv, out=f)
+    with np.errstate(divide="ignore"):
+        bound = np.divide(e, np.add(f, f, out=f), out=e)
+    # t from the edges, and the largest least |u - v| against 2u(1-u) <= 1/2 and 2v(1-v)
+    low = np.maximum(np.subtract(u[:-1], v[1:], out=f), np.subtract(v[:-1], u[1:], out=g), out=f)
+    keep = np.zeros(m, dtype=bool)
+    keep[[0, m - 1, low.argmax(), np.multiply(low, lw.sv, out=f).argmax()]] = True
+    t = float(_k_members(x, lw, keep, keys).min())
+    keep |= bound >= _cut(t, w)  # t's buckets stay, where rounding lifts K_s above B
+    return _k_members(x, lw, keep, keys)
+
+
 def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
-    """S_n(s) for each s in ``s_values`` on each sorted row of the (R, n) stack
-    ``rows``, shaped (len(s_values), R).  One screen serves every s in (-1, 2)
-    and yields S_n(2) and S_n(-1); s = 2 or -1 alone is the row max of K_2 or
-    K_-1; any other s makes a full pass.  No checks: the Monte-Carlo loop runs
-    it millions of times."""
-    (r, n), x = rows.shape, rows.reshape(-1)
-    ws = getattr(_thread_slot, "ws", None)
-    if ws is None or ws.u.size != n - 1 or ws.cx.size != x.size:
-        u = np.arange(1, n, dtype=np.float64) / n
-        steps = np.append(u, u[-1]), np.insert(u, 0, u[0]), np.append(2.0 * (u * (1.0 - u)), 1.0)
-        ws = _thread_slot.ws = _Ws(u, *(np.tile(y, r) for y in steps),
-                                   *(np.empty(x.size) for _ in range(5)))
-    np.subtract(1.0, x, out=ws.cx)
-    screened, keys, w, order = _plan(tuple(s_values))
+    """S_n(s) for each s in ``s_values`` on each row, in any order, of the (R, n)
+    stack ``rows``, shaped (len(s_values), R).  Long rows may skip the sort; on
+    sorted rows one screen serves every s in (-1, 2) and yields S_n(2) and
+    S_n(-1), s = 2 or -1 alone is the row max of K_2 or K_-1, and any other s
+    makes a full pass.  No checks: the Monte-Carlo loop runs it millions of times."""
+    r, n = rows.shape
+    screened, keys, w, order, bucketed = _plan(tuple(s_values))
     vals = np.zeros((len(keys), r))  # a full pass's running max starts at the clamp
-    if screened:
-        _screened(x, n, ws, screened, w, vals)
-    for i in range(len(screened) + 2 if screened else 0, len(keys)):
-        if keys[i] == 2.0 or keys[i] == -1.0:
-            _chi2_rows(x, n, ws, keys[i] == -1.0).reshape(r, n).max(axis=1, out=vals[i])
-        else:  # K_s at (u_j, X_j), then at (u_{j-1}, X_j); the expm1 form reads no 1 - u
-            for u in (ws.ur, ws.ul):
-                _k_into(keys[i], u, None, x, ws.cx, np.subtract(u, x, out=ws.k2), *ws[-3:])
-                np.maximum(vals[i], ws.out.reshape(r, n).max(axis=1), out=vals[i])
+    if bucketed and n >= _LONG_N:
+        for i, row in enumerate(rows):
+            vals[:, i] = _bucketed(row, keys, w)
+    else:
+        ws = getattr(_thread_slot, "ws", None)
+        if ws is None or ws.u.size != n - 1 or ws.x.size != rows.size:
+            u = np.arange(1, n, dtype=np.float64) / n
+            steps = (np.append(u, u[-1]), np.insert(u, 0, u[0]),
+                     np.append(2.0 * (u * (1.0 - u)), 1.0))
+            ws = _thread_slot.ws = _Ws(u, *(np.tile(y, r) for y in steps),
+                                       *(np.empty(rows.size) for _ in range(6)))
+        x = ws.x
+        np.copyto(x.reshape(r, n), rows)
+        x.reshape(r, n).sort(axis=1)
+        np.subtract(1.0, x, out=ws.cx)
+        if screened:
+            _screened(x, n, ws, screened, w, vals)
+        for i in range(len(screened) + 2 if screened else 0, len(keys)):
+            if keys[i] == 2.0 or keys[i] == -1.0:
+                _chi2_rows(x, n, ws, keys[i] == -1.0).reshape(r, n).max(axis=1, out=vals[i])
+            else:  # K_s at (u_j, X_j), then at (u_{j-1}, X_j); the expm1 form reads no 1 - u
+                for u in (ws.ur, ws.ul):
+                    _k_into(keys[i], u, None, x, ws.cx, np.subtract(u, x, out=ws.k2), *ws[-3:])
+                    np.maximum(vals[i], ws.out.reshape(r, n).max(axis=1), out=vals[i])
     # K_s >= 0 mathematically: clamp rounding below 0; + 0.0 turns -0.0 into +0.0.
     return np.maximum(vals.take(order, axis=0), 0.0) + 0.0
 

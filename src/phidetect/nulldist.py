@@ -120,11 +120,11 @@ _STACK_CANDIDATES = 1 << 15
 
 
 def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.ndarray:
-    """n*S_n(s) - r_n, shaped (len(s_list), len(reps)), on the sorted n-row
-    ``draw(rng)`` of each replicate in ``reps`` (``rng``: its substream of
-    ``seed``): the one Monte-Carlo statistics loop, of null tables, power cells
-    and boundary comparisons.  By the substream contract, and as ``_sup`` treats
-    each row of a stack alone, any chunking gives the same values."""
+    """n*S_n(s) - r_n, shaped (len(s_list), len(reps)), on the n-row ``draw(rng)``
+    of each replicate in ``reps`` (``rng``: its substream of ``seed``), unsorted:
+    the one Monte-Carlo statistics loop, of null tables, power cells and boundary
+    comparisons.  By the substream contract, and as ``_sup`` treats each row of a
+    stack alone, any chunking gives the same values."""
     rn = centering_offset(n)
     height = max(1, _STACK_CANDIDATES // (2 * n - 2))
     out = np.empty((len(s_list), len(reps)), dtype=np.float64)
@@ -132,7 +132,6 @@ def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.n
     with np.errstate(over="ignore"):  # K_s = inf near p = 0
         for lo in range(0, len(reps), height):
             stack = np.array([draw(rng) for rng in islice(rngs, height)])
-            stack.sort(axis=1)
             out[:, lo : lo + len(stack)] = n * _sup(stack, s_list) - rn
     return out
 

@@ -441,14 +441,18 @@ def _in_fresh_thread(fn, *args):
 
 
 def test_workspace_reuse_across_n_and_threads():
-    calls = [(1000, 0), (2, 1), (1000, 2), (50, 3), (2, 4), (1000, 0)]
+    # n = 20000 and 16385 are long rows (n >= 2^14), which skip the sort
+    calls = [(1000, 0), (2, 1), (20000, 5), (1000, 2), (16385, 6), (50, 3), (20000, 7),
+             (2, 4), (1000, 0)]
     fresh = {c: _in_fresh_thread(_kernel_bytes, *c) for c in calls}
-    for c in calls:  # interleaved n in one thread reuse and re-key one slot
+    for c in calls:  # interleaved n in one thread reuse and re-key its slots
         assert _kernel_bytes(*c) == fresh[c], c
 
-    # more threads than a small box has CPUs: two share n=1000, two have their own n
-    per_thread = [[(n, rep) for rep in range(r0, r0 + 6)]
-                  for n, r0 in ((1000, 0), (1000, 6), (50, 0), (3, 0))]
+    # more threads than a small box has CPUs: two share n=1000, two share a long n,
+    # two have their own n
+    per_thread = [[(n, rep) for rep in range(r0, r0 + reps)]
+                  for n, r0, reps in ((1000, 0, 6), (1000, 6, 6), (50, 0, 6), (3, 0, 6),
+                                      (20000, 0, 3), (20000, 3, 3))]
     serial = {c: _kernel_bytes(*c) for cs in per_thread for c in cs}
     got, lock = {}, threading.Lock()
 
@@ -537,6 +541,35 @@ def test_screened_berk_jones_max_equals_the_full_candidate_max():
             want = _full_candidate_reference(values, s)
             assert g == want, (n, s, values[:2])
             assert sup_statistic(sample, s) == want, (n, s, values[:2])
+
+
+def test_long_rows_in_any_order_equal_the_full_candidate_max(monkeypatch):
+    # the long screen samples (n >= 2^14), and two rows whose K_-1 and K_2 peak
+    # apart: sqrt(U) has u ~ v^2 (K_-1 is largest at small v, K_2 at v = 1/2),
+    # U^2 has u ~ sqrt(v); shuffled, as one stack and in one-row calls.  The s in
+    # [-1, 2] skip the sort; 3 and -1.5 sort a copy of the rows
+    rows = [v for v in _screen_samples() if v.size >= divergence._LONG_N]
+    assert len(rows) == 5  # uniform, tied, the 1e-300 and 5e-324 floors, normal-sparse
+    u = np.sort(uniform_open(replicate_rng(38, 0), 100_000))
+    rows += [np.sqrt(u), np.maximum(u * u, 1e-300)]
+    rng = np.random.default_rng(37)
+    stack = np.array([rng.permutation(v) for v in rows])
+    given = stack.copy()
+    bucketed = []
+    real_bucketed = divergence._bucketed
+    monkeypatch.setattr(divergence, "_bucketed",
+                        lambda x, *a: bucketed.append(x.size) or real_bucketed(x, *a))
+    for s_values in ([*SCREENED_S, 2.0, -1.0], [2.0], [-1.0], [3.0, -1.5]):
+        bucketed.clear()
+        with np.errstate(over="ignore"):  # as the public wrappers run it
+            vals = _sup(stack, s_values)
+            one = [_sup(row[None], s_values)[:, 0] for row in stack]
+        assert len(bucketed) == (0 if 3.0 in s_values else 2 * len(rows)), s_values
+        for j, row in enumerate(rows):
+            assert np.array_equal(vals[:, j], one[j]), (j, s_values)
+            for s, v in zip(s_values, vals[:, j]):
+                assert v == _full_candidate_reference(row, s), (j, s)
+    assert np.array_equal(stack, given)  # the rows are read, not sorted in place
 
 
 def _stacks():
