@@ -415,8 +415,7 @@ def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
     screened, keys, w, order, bucketed = _plan(tuple(s_values))
     vals = np.zeros((len(keys), r))  # a full pass's running max starts at the clamp
     if bucketed and n >= _LONG_N:
-        for i, row in enumerate(rows):
-            vals[:, i] = _bucketed(row, keys, w)
+        vals[:] = np.transpose([_bucketed(row, keys, w) for row in rows])
     else:
         ws = getattr(_thread_slot, "ws", None)
         if ws is None or ws.u.size != n - 1 or ws.x.size != rows.size:

@@ -131,7 +131,8 @@ def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.n
     rngs = _replicate_rngs(seed, reps)
     with np.errstate(over="ignore"):  # K_s = inf near p = 0
         for lo in range(0, len(reps), height):
-            stack = np.array([draw(rng) for rng in islice(rngs, height)])
+            rows = [draw(rng) for rng in islice(rngs, height)]
+            stack = rows[0][None] if height == 1 else np.array(rows)  # one row: no copy
             out[:, lo : lo + len(stack)] = n * _sup(stack, s_list) - rn
     return out
 
