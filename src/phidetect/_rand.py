@@ -61,8 +61,12 @@ def uniform_open(rng: Generator, size: int) -> np.ndarray:
     Values are dyadic rationals k/2^53 with 1 <= k < 2^53, so exact 0.0 and
     1.0 cannot occur (``Generator.random`` can return 0.0).
     """
-    k = rng.integers(1, 1 << 53, size=size, dtype=np.int64)
-    return k * _INV_2_53
+    return _fill_uniform(rng, np.empty(size))
+
+
+def _fill_uniform(rng: Generator, row: np.ndarray) -> np.ndarray:  # uniform_open into row
+    k = rng.integers(1, 1 << 53, size=row.size, dtype=np.int64)
+    return np.multiply(k, _INV_2_53, out=row)
 
 
 def stable_seed(*parts: int | float | str) -> int:

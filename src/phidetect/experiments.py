@@ -9,8 +9,8 @@ given configuration regardless of worker count or execution order.  A cell
 runs the null tables' stacked replicate loop (``nulldist._mc_stats``) on the
 p-value scale: the noise p-values are the open uniforms themselves and only
 signal points go through F_0, so its statistics match the public
-``sample_mixture`` + ``to_pvalues`` route to about 1e-12, the route that
-``boundary_comparison`` runs through the same loop, LR decisions included.
+``sample_mixture`` + ``to_pvalues`` route to about 1e-12, the route of
+``boundary_comparison``'s mixture half (its null half reads ``noise.sample``'s uniforms).
 
 ``run_lr_test`` is the Neyman-Pearson benchmark in zero-threshold form
 (reject iff the posterior likelihood favours the mixture), the form whose
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rand import _pool_map, stable_seed
+from ._rand import _fill_uniform, _pool_map, stable_seed
 from .boundary import Verdict, classify
 from .divergence import SortedPValueSample, sup_statistic, sup_statistic_values
 from .errors import DomainError
@@ -127,16 +127,19 @@ def run_divergence_test(
 
 
 def log_likelihood_ratio(data, spec: MixtureSpec) -> float:
-    """log dQ_n^n/dP_0^n = sum_i log((1-eps) + eps * (d mu_n/d P_0)(x_i))."""
+    """log dQ_n^n/dP_0^n = sum_i log1p(eps * expm1(l_i)), l_i = log(d mu_n/d P_0)(x_i)."""
     x = np.asarray(data, dtype=np.float64)
     eps = spec.epsilon
     if eps == 0.0:
         return 0.0
     ratio = spec.log_ratio()
-    log_r = np.asarray(ratio(x), dtype=np.float64)
+    log_r = np.asarray(ratio(x), dtype=np.float64).ravel()  # 1-d: terms are assigned below
     if eps == 1.0:
         return float(np.sum(log_r))
-    return float(np.sum(np.logaddexp(math.log1p(-eps), math.log(eps) + log_r)))
+    terms = np.log1p(eps * np.expm1(np.minimum(log_r, 709.0)))  # exact for small eps and l
+    big = log_r > 709.0  # past expm1's overflow, log((1-eps) + eps e^l) as a logaddexp
+    terms[big] = np.logaddexp(math.log1p(-eps), math.log(eps) + log_r[big])
+    return float(np.sum(terms))
 
 
 def run_lr_test(data, spec: MixtureSpec) -> bool:
@@ -320,10 +323,10 @@ def boundary_comparison(
 ) -> BoundaryComparison:
     """Compare every S_n(s) test against the LR benchmark exactly on the boundary.
 
-    Each replicate draws one null sample (pure noise) and one mixture sample
-    from paired substreams; all s share those draws, so differences between
-    error sums are not sampling artifacts.  Rejecting specs off the boundary
-    is deliberate — away from it the comparison answers a different question.
+    Each replicate draws one null sample (pure noise, its uniforms its p-values)
+    and one mixture sample from paired substreams; all s share those draws, so
+    differences between error sums are not sampling artifacts.  Rejecting specs
+    off the boundary is deliberate — away from it the comparison answers a different question.
     """
     cls = classify(spec.family, spec.beta, spec.r)
     if cls.verdict is not Verdict.ON_BOUNDARY:
@@ -340,19 +343,23 @@ def boundary_comparison(
     tables = ensure_tables(cache_dir, spec.n, s_list, table_reps, tseed, workers=workers)
     crits = np.array([critical_from_sorted(tables[s].sorted_stats, alpha) for s in s_list])
 
-    def rejections(tag, sample):  # per s, and of the LR test, over the replicates
+    def rejections(tag, fill):  # per s, and of the LR test, over the replicates
         lr = []
 
-        def draw(rng):  # the LR test reads x here: the next replicate reuses rng
-            x = sample(rng)
-            lr.append(run_lr_test(x, spec))
-            return to_pvalues(x, spec.noise).values
+        def draw(rng, row):  # the LR test reads x here: the next replicate reuses rng
+            lr.append(run_lr_test(fill(rng, row), spec))
 
         stats = _mc_stats(spec.n, s_list, stable_seed(seed, tag), range(reps), draw)
         return np.count_nonzero(stats > crits[:, None], axis=1), sum(lr)
 
-    rej_null, lr_null = rejections("boundary-null", lambda rng: spec.noise.sample(spec.n, rng))
-    rej_alt, lr_alt = rejections("boundary-alt", lambda rng: sample_mixture(spec, rng)[0])
+    def alt(rng, row):  # the public route, its sorted p-values copied into the row
+        x = sample_mixture(spec, rng)[0]
+        row[:] = to_pvalues(x, spec.noise).values
+        return x
+
+    rej_null, lr_null = rejections(  # noise.sample's stream: p-values are its uniforms
+        "boundary-null", lambda rng, row: spec.noise.quantile(_fill_uniform(rng, row)))
+    rej_alt, lr_alt = rejections("boundary-alt", alt)
     return BoundaryComparison(
         family=spec.family.name, beta=spec.beta, r=spec.r, n=spec.n,
         alpha=alpha, reps=reps, seed=seed, s_values=tuple(s_list),

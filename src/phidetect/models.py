@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._rand import uniform_open, replicate_rng
+from ._rand import _fill_uniform, replicate_rng, uniform_open
 from .divergence import SortedPValueSample
 from .errors import DomainError
 
@@ -451,12 +451,12 @@ def mixture_family(name: str, *, regime: str | None = None, **params) -> Mixture
     return MixtureFamily(key, regime, build(**params))
 
 
-def _draw(spec: MixtureSpec, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The one stream layout of a mixture replicate: the signal count k =
-    ``rng.binomial(n, eps)``, then the n-k noise uniforms and the k signal draws."""
+def _draw(spec: MixtureSpec, rng, row: np.ndarray) -> np.ndarray:
+    """A mixture replicate's one stream layout: the signal count k = ``rng.binomial(n, eps)``,
+    the n-k noise uniforms, written into ``row[:n-k]``, then the k signal draws, returned."""
     k = int(rng.binomial(spec.n, spec.epsilon))
-    u = uniform_open(rng, spec.n - k)
-    return u, spec.signal.sample(k, rng) if k else np.empty(0)
+    _fill_uniform(rng, row[: spec.n - k])
+    return spec.signal.sample(k, rng) if k else np.empty(0)
 
 
 def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:
@@ -469,16 +469,18 @@ def sample_mixture(spec: MixtureSpec, seed) -> tuple[np.ndarray, int]:
     so membership is i.i.d. per observation: the joint law is the exact mixture.
     """
     rng = seed if isinstance(seed, np.random.Generator) else replicate_rng(int(seed), 0)
-    u, x = _draw(spec, rng)
-    data = np.concatenate((spec.noise.quantile(u), x))
+    data = np.empty(spec.n)
+    x = _draw(spec, rng, data)
+    m = spec.n - x.size
+    data[:m], data[m:] = spec.noise.quantile(data[:m]), x
     rng.shuffle(data)
     return data, x.size
 
 
-def _sample_pvalues(spec: MixtureSpec, rng) -> np.ndarray:
-    """The p-values of one ``_draw``, unsorted: noise uniforms as drawn, signal via F_0."""
-    u, x = _draw(spec, rng)
-    return np.concatenate((u, _pit(x, spec.noise)))
+def _sample_pvalues(spec: MixtureSpec, rng, row: np.ndarray) -> None:
+    """Write one ``_draw``'s p-values into ``row``: noise uniforms as drawn, signals via F_0."""
+    x = _draw(spec, rng, row)
+    row[spec.n - x.size :] = _pit(x, spec.noise)
 
 
 def _pit(x: np.ndarray, noise: Distribution) -> np.ndarray:

@@ -26,12 +26,11 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from ._rand import RNG_ID, _pool_map, _replicate_rngs, uniform_open
+from ._rand import RNG_ID, _fill_uniform, _pool_map, _replicate_rngs
 from .divergence import _finite_s, _sup
 from .errors import CacheCorruptionError, DomainError
 
@@ -120,19 +119,21 @@ _STACK_CANDIDATES = 1 << 15
 
 
 def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.ndarray:
-    """n*S_n(s) - r_n, shaped (len(s_list), len(reps)), on the n-row ``draw(rng)``
-    of each replicate in ``reps`` (``rng``: its substream of ``seed``), unsorted:
-    the one Monte-Carlo statistics loop, of null tables, power cells and boundary
-    comparisons.  By the substream contract, and as ``_sup`` treats each row of a
-    stack alone, any chunking gives the same values."""
+    """n*S_n(s) - r_n, shaped (len(s_list), len(reps)), on the n values that
+    ``draw(rng, row)`` writes into ``row``, a row of the stack this call reuses,
+    for each replicate in ``reps`` (``rng``: its substream of ``seed``): the one
+    Monte-Carlo statistics loop, of null tables, power cells and boundary
+    comparisons.  Rows go to ``_sup`` unsorted; any chunking gives the same values."""
     rn = centering_offset(n)
     height = max(1, _STACK_CANDIDATES // (2 * n - 2))
+    buf = np.empty((min(height, len(reps)), n))
     out = np.empty((len(s_list), len(reps)), dtype=np.float64)
     rngs = _replicate_rngs(seed, reps)
     with np.errstate(over="ignore"):  # K_s = inf near p = 0
         for lo in range(0, len(reps), height):
-            rows = [draw(rng) for rng in islice(rngs, height)]
-            stack = rows[0][None] if height == 1 else np.array(rows)  # one row: no copy
+            stack = buf[: len(reps) - lo]
+            for row, rng in zip(stack, rngs):  # the stack first: zip takes no extra rng
+                draw(rng, row)
             out[:, lo : lo + len(stack)] = n * _sup(stack, s_list) - rn
     return out
 
@@ -158,7 +159,7 @@ def mc_null_tables(
     s_list = [_finite_s(s) for s in s_values]
     chunk = -(-reps // (max(workers, 1) * 4))
     chunks = [range(a, min(a + chunk, reps)) for a in range(0, reps, chunk)]
-    block = partial(_mc_stats, n, s_list, seed, draw=partial(uniform_open, size=n))
+    block = partial(_mc_stats, n, s_list, seed, draw=_fill_uniform)
     stats = np.concatenate(_pool_map(block, workers, chunks), axis=1)
     return [
         CalibrationTable(

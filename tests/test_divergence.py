@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,10 @@ from phidetect import (
     z_sup,
 )
 from phidetect import divergence
+from phidetect._rand import _fill_uniform
 from phidetect.divergence import _sup
+from phidetect.models import _sample_pvalues
+from phidetect.nulldist import _mc_stats
 
 S_GRID = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
 
@@ -488,6 +492,26 @@ def test_warm_kernel_allocates_less_than_one_candidate_array():
         finally:
             tracemalloc.stop()
         assert peak < 2 * (n - 1) * 8, (s_values, peak)
+
+
+def test_warm_monte_carlo_loop_allocates_less_than_three_rows():
+    """A warm ``_mc_stats`` call at n = 1e5 holds its stack row, the draw's integers and
+    small arrays: no n-long array per replicate beyond those, for the null tables'
+    fill and for mixture draws with a few and with many signals."""
+    n = 100_000
+    specs = [MixtureSpec(mixture_family(name, regime=regime), beta, r, n)
+             for name, regime, beta, r in (("normal", "sparse", 0.6, 0.5),
+                                           ("scale-exponential", "dense", 0.2, 0.2))]
+    for draw in [_fill_uniform] + [partial(_sample_pvalues, spec) for spec in specs]:
+        for s_values in ([2.0], list(FIVE_S)):
+            _mc_stats(n, s_values, 7, range(3), draw)  # warm this thread's workspace
+            tracemalloc.start()
+            try:
+                _mc_stats(n, s_values, 7, range(3), draw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * n * 8, (draw, s_values, peak / (n * 8))
 
 
 def test_multi_s_matches_single(rng=np.random.default_rng(515)):

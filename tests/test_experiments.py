@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -175,6 +177,45 @@ def test_llr_matches_naive_formula():
     eps = spec.epsilon
     naive = float(np.sum(np.log((1.0 - eps) + eps * np.exp(spec.log_ratio()(x)))))
     assert log_likelihood_ratio(x, spec) == pytest.approx(naive, rel=1e-10)
+
+
+@pytest.mark.parametrize("family, regime, beta, r, seed", [
+    ("scale-exponential", "dense", 0.1, 0.4, 1),  # the boundary cell of PINNED_BOUNDARY
+    ("location-gumbel", "sparse", 0.6, 0.5, 2),
+    ("normal", "sparse", 0.6, 0.3, 3),
+])
+def test_llr_matches_50_digit_sum(family, regime, beta, r, seed):
+    """The float sum against mpmath at 50 digits on the same float log ratios l.
+    Terms as logaddexp(log(1-eps), log(eps) + l) put the scale-exponential sum
+    1.5e-12 relative off; as log1p(eps expm1(l)), 2.3e-15."""
+    n = 20_000
+    spec = MixtureSpec(mixture_family(family, regime=regime), beta, r, n)
+    x = sample_mixture(spec, seed)[0]
+    eps = mpmath.mpf(spec.epsilon)
+    with mpmath.workdps(50):
+        want = mpmath.fsum(mpmath.log1p(eps * mpmath.expm1(mpmath.mpf(float(v))))
+                           for v in spec.log_ratio()(x))
+        err = abs((mpmath.mpf(log_likelihood_ratio(x, spec)) - want) / want)
+    assert err < 2e-14, float(err)
+
+
+def test_llr_past_expm1_overflow_is_logaddexp():
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.3, 100)
+    theta, eps = spec.theta, spec.epsilon
+    x = 800.0 / theta + np.array([0.0, 1.0, 50.0])  # l = theta x - theta^2/2 > 709
+    log_r = spec.log_ratio()(x)
+    assert np.all(log_r > 709.0)
+    big = np.logaddexp(math.log1p(-eps), math.log(eps) + log_r)
+    small = np.log1p(eps * np.expm1(spec.log_ratio()(np.array([0.5, -1.0]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # expm1's overflow stays silent
+        assert log_likelihood_ratio(x, spec) == float(np.sum(big))
+        both = np.concatenate((x, [0.5, -1.0]))
+        assert log_likelihood_ratio(both, spec) == float(np.sum(np.concatenate((big, small))))
+    for eps_edge in (0.0, 1.0):
+        edge = MixtureSpec(mixture_family("normal"), 0.6, 0.3, 5, epsilon_override=eps_edge)
+        assert log_likelihood_ratio(x, edge) == (float(np.sum(edge.log_ratio()(x)))
+                                                 if eps_edge else 0.0)
 
 
 def test_run_lr_test_zero_threshold():
@@ -374,7 +415,9 @@ def test_stacked_power_cell_equals_the_one_row_public_route(n):
     for family, regime, beta, r in cells:
         spec = MixtureSpec(mixture_family(family, regime=regime), beta, r, n)
         seed = cell_seed(7, family, beta, r, 0.0, n)
-        pvalues = [_sample_pvalues(spec, replicate_rng(seed, j)) for j in reps]
+        pvalues = [np.full(n, np.nan) for _ in reps]  # a draw must write every entry
+        for j, p in zip(reps, pvalues):
+            _sample_pvalues(spec, replicate_rng(seed, j), p)
         ceiling_hit |= family == "normal" and any(p.max() == 1.0 - 2.0**-53 for p in pvalues)
         for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
             got = pnull._mc_stats(n, [s], seed, reps, partial(_sample_pvalues, spec))

@@ -391,7 +391,8 @@ def test_pvalue_draw_matches_the_raw_data_route(name, regime, eps, n):
     five_s = (-1.0, 0.0, 0.5, 1.0, 2.0)
     for j in range(3):
         fast_rng, raw_rng, ref_rng = (replicate_rng(2026, j) for _ in range(3))
-        p = _sample_pvalues(spec, fast_rng)
+        p = np.full(n, np.nan)  # a draw that leaves an entry unwritten fails below
+        _sample_pvalues(spec, fast_rng, p)
         fast = SortedPValueSample.from_values(p)
         raw = to_pvalues(sample_mixture(spec, raw_rng)[0], spec.noise)
         np.testing.assert_allclose(fast.values, raw.values, rtol=1e-12, atol=0.0)
