@@ -123,7 +123,7 @@ def _mc_stats(n: int, s_list: list[float], seed: int, reps: range, draw) -> np.n
     ``draw(rng, row)`` writes into ``row``, a row of the stack this call reuses,
     for each replicate in ``reps`` (``rng``: its substream of ``seed``): the one
     Monte-Carlo statistics loop, of null tables, power cells and boundary
-    comparisons.  Rows go to ``_sup`` unsorted; any chunking gives the same values."""
+    comparisons.  Rows go to ``_sup`` unsorted, each alone: any chunking gives the same values."""
     rn = centering_offset(n)
     height = max(1, _STACK_CANDIDATES // (2 * n - 2))
     buf = np.empty((min(height, len(reps)), n))
