@@ -83,6 +83,36 @@ def test_read_data_file_needs_two_values(tmp_path):
         read_data_file(short)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("1.0\n \t \n2.0\n   \n", [1.0, 2.0]),                      # whitespace-only lines
+    ("value\r\n1.0\r\n2.0\r\n", [1.0, 2.0]),                     # CRLF
+    ("nan\ninf\n-inf\n", [math.nan, math.inf, -math.inf]),
+    ("1.0,,\n2.0,\n", [1.0, 2.0]),                               # trailing commas
+    ("# value\n1.0\n2.0\n", [1.0, 2.0]),                         # '#' line as the header
+    ("  1.5  \n\t-2.0e-3\n", [1.5, -2.0e-3]),
+])
+def test_read_data_file_edge_cases(tmp_path, text, want):
+    path = tmp_path / "e.txt"
+    path.write_bytes(text.encode("utf-8"))
+    np.testing.assert_array_equal(read_data_file(path), want)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0\n# note\n2.0\n", "line 2: expected a number, got '# note'"),  # '#' is no comment
+    ("1.0,2.0\n3.0\n4.0\n", "line 1: expected a number, got '1.0,2.0'"),
+    ("value\n1.0\nvalue\n2.0\n", "line 3: expected a number, got 'value'"),
+    ("0.1\n\n0.2\n1.0,,2.0\n", "line 4: expected a number, got '1.0,,2.0'"),
+    ("value\n", "need n >= 2"),
+    ("value\n\n  \n", "need n >= 2"),
+])
+def test_read_data_file_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError) as err:
+        read_data_file(path)
+    assert message in str(err.value)
+
+
 def test_default_cache_dir(monkeypatch):
     monkeypatch.delenv("PHIDETECT_CACHE", raising=False)
     assert default_cache_dir() == ".phidetect-cache"
@@ -432,6 +462,13 @@ def test_cmd_boundary_gamma_table(capsys, tmp_path):
     table.write_text("t,gamma\n0.1,0.2\nt,gamma\n0.5,0.4\n")
     code, _, err = _run(capsys, ["boundary", "--gamma-table", table])
     assert code == 2 and "line 3" in err
+    table.write_text("t,gamma,note\n0.1,0.2,\n0.5,0.4\n")  # a wider header; a trailing comma
+    code, raw, _ = _run(capsys, ["boundary", "--gamma-table", table, "--json"])
+    assert code == 0
+    assert (json.loads(raw)["t_min"], json.loads(raw)["t_max"]) == (0.1, 0.5)
+    table.write_text("t,gamma\n0.1,0.2\n0.5\n")
+    code, _, err = _run(capsys, ["boundary", "--gamma-table", table])
+    assert code == 2 and "line 3: expected 't,gamma' pairs, got '0.5'" in err
 
 
 def test_cmd_boundary_errors(capsys, tmp_path):
