@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -85,9 +84,10 @@ def stable_seed(*parts: int | float | str) -> int:
 
 
 def _pool_map(fn, workers: int, *iterables) -> list:
-    """``list(map(fn, *iterables))``, over ``workers`` processes when > 1; the
-    one process pool in the package.  Results keep input order either way."""
+    """``list(map(fn, *iterables))``, over ``workers`` processes when > 1 (the
+    package's one process pool, imported only then); results keep input order."""
     if workers <= 1:
         return list(map(fn, *iterables))
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *iterables))

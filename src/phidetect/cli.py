@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -79,23 +80,29 @@ def default_cache_dir(flag_value=None) -> str:
     return os.environ.get("PHIDETECT_CACHE", ".phidetect-cache")
 
 
+def _floats(line: str) -> list[float] | None:
+    with contextlib.suppress(ValueError):
+        return [float(p) for p in line.split(",")]
+
+
 def _read_rows(path, width: int, what: str) -> np.ndarray:
     """The (m, width) array of comma-separated reals, one row per non-empty line
-    (a trailing comma allowed, the first may be a header); errors name the line."""
-    text = Path(path).read_text(encoding="utf-8-sig")  # a BOM would hide the first value
-    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
-    rows = []
-    for k, (lineno, raw) in enumerate(lines):
-        try:
-            row = [float(p) for p in raw.strip().rstrip(",").split(",")]
-        except ValueError:
-            if k == 0:
-                continue  # header
-            row = []
-        if len(row) != width:
-            raise DomainError(f"line {lineno}: expected {what}, got {raw!r}")
-        rows += row
-    return np.array(rows, dtype=np.float64).reshape(-1, width)
+    (a trailing comma allowed, the first may be a header); errors name the line.
+    ``np.loadtxt`` reads a subset of ``float``'s inputs, to the same bits, so
+    the line loop runs only if it fails."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()  # a BOM would hide a value
+    body = [line.rstrip(",") for line in map(str.strip, lines) if line]
+    header = bool(body) and _floats(body[0]) is None
+    del body[:header]
+    if any(body):  # loadtxt warns on an empty body, and skips an empty line
+        with contextlib.suppress(ValueError):
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if rows.shape == (len(body), width):
+                return rows
+    for k, line in zip([k for k, raw in enumerate(lines) if raw.strip()][header:], body):
+        if len(_floats(line) or ()) != width:
+            raise DomainError(f"line {k + 1}: expected {what}, got {lines[k]!r}")
+    return np.array([_floats(line) for line in body], dtype=np.float64).reshape(-1, width)
 
 
 def read_data_file(path) -> np.ndarray:
@@ -147,10 +154,10 @@ def _advisory_critical(n: int, alpha: float) -> float | None:
 
 def cmd_test(args) -> int:
     _check_levels([args.alpha])
-    data = read_data_file(args.data_file)
     factory = _NOISE_MODELS.get(args.model)
     if factory is None:
         raise DomainError(f"unknown model {args.model!r}; known: {', '.join(_NOISE_MODELS)}")
+    data = read_data_file(args.data_file)
     s = args.s
     if s is None:
         s = 2.0
@@ -486,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, CacheCorruptionError, configparser.Error, ValueError) as exc:

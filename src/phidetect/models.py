@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._rand import _fill_uniform, replicate_rng, uniform_open
 from .divergence import SortedPValueSample
@@ -124,6 +123,8 @@ class Uniform(Distribution):
 
 @dataclass(frozen=True)
 class Normal(Distribution):
+    """N(mu, sigma^2).  ``scipy.special`` is imported at its first cdf or quantile."""
+
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -134,12 +135,15 @@ class Normal(Distribution):
             raise DomainError("normal model needs finite mu and sigma > 0")
 
     def cdf(self, x):
+        from scipy.special import ndtr
         return ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
 
     def quantile(self, u):
+        from scipy.special import ndtri
         return self.mu + self.sigma * ndtri(_check_unit_open(u))
 
     def quantile_upper(self, eps):
+        from scipy.special import ndtri
         return self.mu - self.sigma * ndtri(_check_unit_open(eps))
 
 

@@ -211,6 +211,13 @@ def test_cmd_test_rejects_a_bad_level_before_any_table(capsys, tmp_path, datafil
     assert list(cache.iterdir()) == []
 
 
+def test_cmd_test_rejects_a_bad_model_before_reading_the_data(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    for extra, what in ((["--model", "bogus"], "unknown model"), (["--alpha", "2"], "alpha")):
+        code, out, err = _run(capsys, ["test", missing, "--reps", "100", *extra])
+        assert code == 2 and out == "" and what in err
+
+
 def test_cmd_test_json_is_strict_for_an_infinite_statistic(capsys, tmp_path):
     # x = -40 has a normal p-value of ~1e-350, clamped to 1e-300: S_n(3) overflows
     path = tmp_path / "far.txt"

@@ -68,6 +68,20 @@ def test_upper_quantile_stable_in_deep_tail(dist):
     assert deep > float(dist.quantile_upper(1e-3))
 
 
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (2.0, 3.0), (-1.5, 0.25)])
+def test_normal_is_ndtr_and_ndtri_bit_for_bit(mu, sigma):
+    from scipy.special import ndtr, ndtri
+
+    dist = Normal(mu, sigma)
+    u = np.concatenate([10.0 ** -np.arange(300.0, 0.0, -7.0), np.linspace(0.01, 0.99, 99),
+                        1.0 - 10.0 ** -np.arange(1.0, 16.0)])
+    x = mu + sigma * np.linspace(-38.0, 38.0, 153)
+    np.testing.assert_array_equal(dist.cdf(x), ndtr((x - mu) / sigma))
+    np.testing.assert_array_equal(dist.quantile(u), mu + sigma * ndtri(u))
+    np.testing.assert_array_equal(dist.quantile_upper(u), mu - sigma * ndtri(u))
+    assert dist.cdf(0.5) == ndtr((0.5 - mu) / sigma)  # a scalar too
+
+
 def test_uniform_deep_upper_tail_is_unrepresentable():
     assert Uniform().quantile_upper(0.25) == 0.75
     with pytest.raises(DomainError):

@@ -89,3 +89,16 @@ def test_cli_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_defers_scipy_special_and_the_process_pool():
+    """Only a normal law needs ``scipy.special``, and only workers > 1 a pool."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, phidetect.cli\n"
+            "print([m in sys.modules for m in ('scipy.special', 'concurrent.futures')])\n"
+            "phidetect.Normal().cdf(0.5)\n"
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["[False, False]", "True"]
