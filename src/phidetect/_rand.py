@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -27,23 +28,22 @@ _INV_2_53 = 1.0 / (1 << 53)
 
 
 def replicate_rng(seed: int, replicate: int) -> Generator:
-    """Generator for one replicate, independent of all other replicates.
-
-    Each replicate owns the counter block ``[replicate * 2^128,
-    (replicate+1) * 2^128)`` of the Philox stream keyed by ``seed``.
-    """
+    """Generator for one replicate, independent of all other replicates: its
+    counter block of the Philox stream keyed by ``seed`` (``_replicate_rngs``)."""
     if replicate < 0:
         raise ValueError("replicate index must be nonnegative")
-    return Generator(Philox(key=seed, counter=replicate << 128))
+    return next(_replicate_rngs(seed, (operator.index(replicate),)))  # numpy ints overflow the words
 
 
 def _replicate_rngs(seed: int, replicates) -> Iterator[Generator]:
-    """``replicate_rng(seed, rep)`` for each rep in ``replicates``, in turn, as
-    one reused generator: each step sets its Philox counter to ``rep << 128``
-    and empties its buffer, so a replicate draws the same numbers however much
-    the previous one consumed.  Draw from each before taking the next.  A fresh
-    ``Generator(Philox(key, counter))`` costs several times as much: most of it
-    is ``SeedSequence()`` gathering OS entropy that the key then overrides.
+    """The generator of each rep in ``replicates``, in turn, as one reused
+    generator.  Each replicate owns the counter block ``[rep * 2^128, (rep+1) *
+    2^128)``: each step sets the Philox counter to ``rep << 128`` (the one place
+    that layout is written) and empties the buffer, so a replicate draws the
+    same numbers however much the previous one consumed.  Draw from each before
+    taking the next.  A fresh ``Generator(Philox(key, counter))`` per replicate
+    costs several times as much: most of it is ``SeedSequence()`` gathering OS
+    entropy that the key then overrides.
     """
     bits = Philox(key=seed)
     rng, state = Generator(bits), bits.state  # counter 0, buffer empty

@@ -32,6 +32,7 @@ from . import boundary as boundary_mod
 from .errors import CacheCorruptionError, DomainError
 from .experiments import (
     PowerGridConfig,
+    _csv_text,
     power_csv,
     power_sweep,
     run_divergence_test,
@@ -417,9 +418,7 @@ def cmd_diagnose(args) -> int:
     else:
         grid = np.linspace(args.v_min, args.v_max, args.v_count)
     values = (diagnostic_H_sparse if args.kind == "sparse" else diagnostic_H)(spec, grid)
-    lines = ["v,value"]
-    lines += [f"{float(v)!r},{float(h)!r}" for v, h in zip(grid, values)]
-    text = "\n".join(lines) + "\n"
+    text = _csv_text([("v", "value"), *((float(v), float(h)) for v, h in zip(grid, values))])
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.out}")

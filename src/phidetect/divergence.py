@@ -27,19 +27,22 @@ no transcendental function:
 
 Each is a handful of correctly rounded operations with no cancellation, so it
 is accurate to a few ulps everywhere, including v at the p-value floor 1e-300
-(where K_2 is about 1e299, finite).  Every other s uses ``expm1``/``log1p``:
+(where K_2 is about 1e299, finite).  Every other s uses ``expm1``/``log1p``,
+centred at the nearer of s = 0 and s = 1 (v*e^(s*L1) = u*e^((s-1)*L1)):
 
-    K_s(u,v) = -(v*expm1(s*L1) + (1-v)*expm1(s*L2)) / (s*(1-s)),
+    K_s(u,v) = -(v*expm1(s*L1) + (1-v)*expm1(s*L2)) / (s*(1-s))           s <= 1/2 or s >= 2
+    K_s(u,v) = -(u*expm1((s-1)*L1) + (1-u)*expm1((s-1)*L2)) / (s*(1-s))   1/2 < s < 2
     L1 = log1p(d/v),  L2 = log1p(-d/(1-v)),
 
 with the limits K_0 = -(v*L1 + (1-v)*L2) and K_1 = u*L1 + (1-u)*L2, used for
 every s within ``S_REGIME_TOL`` of 0 or 1 (``_kernel_s``, the one place that
-choice is written).  This stays accurate as u -> v (relative error
-O(eps/|d|) instead of O(eps/d**2) for the textbook form).  Where e^(s*L1)
-overflows before the scaling by v (s > 1, v near the floor), v*expm1(s*L1) is
-recomputed as exp(s*log(u) + (1-s)*log(v)), so every K_s with s < 2 is finite
-at the floor.  Where d/v itself overflows (a subnormal v), L1 is recomputed as
-log(u) - log(v) in the same way.
+choice is written).  The terms are about s*d and -s*d (resp. (s-1)*d and
+-(s-1)*d), so the relative error is O(eps/|d|) times 1/|1-s| (resp. 1/|s|), at
+most 2 on (-1, 2), not O(eps/d**2) as in the textbook form.  No term overflows
+for s < 2, so those K_s are finite at the floor; for s > 2, where e^(s*L1)
+overflows before the scaling by v, v*expm1(s*L1) is recomputed as
+exp(s*log(u) + (1-s)*log(v)), and where d/v overflows (a subnormal v), L1 as
+log(u) - log(v).
 
 Screen for every s in (-1, 2).  With c = (1-u)/(1-v), d/dv K_s(u, v) =
 (c**s - (u/v)**s)/s and K_s(u, u) = 0, so ::
@@ -227,13 +230,15 @@ def _k_into(s: float, u, cu, v, cv, d, out, a, b) -> np.ndarray:
         np.multiply(u, a, out=out)
         out += cu * b
         return out
-    np.expm1(np.multiply(a, s, out=out), out=out)
-    out *= v
-    if out.max(initial=0.0) == math.inf:  # e^(s*L1) overflowed before the scaling by v:
+    # w*e^(c*L1) = u^s v^(1-s): centred at s = 1 on (1/2, 2), else at s = 0 (no cu read)
+    c, w, cw = (s - 1.0, u, cu) if 0.5 < s < 2.0 else (s, v, cv)
+    np.expm1(np.multiply(a, c, out=out), out=out)
+    out *= w
+    if out.max(initial=0.0) == math.inf:  # s > 2: e^(s*L1) overflowed before the scaling by v:
         big = out == math.inf  # there v*expm1(s*L1) = u^s v^(1-s) to within v
         out[big] = np.exp(s * np.log(u[big]) + (1.0 - s) * np.log(v[big]))
-    np.expm1(np.multiply(b, s, out=b), out=b)
-    b *= cv
+    np.expm1(np.multiply(b, c, out=b), out=b)
+    b *= cw
     out += b
     return np.divide(out, -(s * (1.0 - s)), out=out)
 
@@ -253,10 +258,18 @@ def kappa(s: float, u, v) -> float | np.ndarray:
     # contiguous operands of one shape: the kernel's elementwise arithmetic, bit for bit
     shape = np.broadcast_shapes(ua.shape, va.shape)
     ub, vb = (np.array(np.broadcast_to(x, shape), ndmin=1) for x in (ua, va))
-    out, a, b = (np.empty(ub.shape) for _ in range(3))
     with np.errstate(over="ignore"):
-        _k_into(s, ub, 1.0 - ub, vb, 1.0 - vb, ub - vb, out, a, b)
+        out = _k_pairs((s,), ub, vb, 1.0 - vb)[0]
     return out if shape else float(out[0])
+
+
+def _k_pairs(keys: tuple[float, ...], u, v, cv) -> np.ndarray:
+    """K_s(u, v), a row per s in ``keys``, at the pairs (u, v) of one shape; ``cv`` = 1 - v."""
+    cu, d = 1.0 - u, u - v
+    a, b, *ks = out = np.empty((2 + len(keys), *v.shape))
+    for s, k in zip(keys, ks):
+        _k_into(s, u, cu, v, cv, d, k, a, b)
+    return out[2:]
 
 
 _thread_slot = threading.local()
@@ -286,37 +299,30 @@ def _k_groups(groups: np.ndarray, x: np.ndarray, ws: _Ws, screened: tuple[float,
     """Rows K_s, one per s in ``screened``, at both candidates of each u-group in
     ``groups`` (slots of ``x``), interleaved: one gather."""
     iu, iv = np.repeat(groups, 2), (groups[:, None] + (0, 1)).ravel()
-    u, v, cv = ws.ur[iu], x[iv], ws.cx[iv]
-    cu, d = 1.0 - u, u - v
-    a, b, *ks = out = np.empty((2 + len(screened), iv.size))
-    for s, k in zip(screened, ks):
-        _k_into(s, u, cu, v, cv, d, k, a, b)
-    return out[2:]
+    return _k_pairs(screened, ws.ur[iu], x[iv], ws.cx[iv])
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(s_values: tuple[float, ...]):
     """How ``_sup`` serves ``s_values``, as kernel s (``_kernel_s``): the distinct
     s in (-1, 2); then 2.0 and -1.0, which the screen yields, and the rest.
-    Also the screen's margin factor (see ``_screened``), for each of
-    ``s_values`` its place in that order, and whether every s is in [-1, 2]."""
+    Also each of ``s_values``' place in that order, and whether all are in [-1, 2]."""
     forms = [_kernel_s(s) for s in s_values]
     screened = tuple(dict.fromkeys(s for s in forms if -1.0 < s < 2.0))
     keys = (*screened, 2.0, -1.0) if screened else ()
     keys += tuple(s for s in dict.fromkeys(forms) if s not in keys)
-    w = max([1.0] + [1.0 / abs(1.0 - s) for s in screened if s != 0.0 and s != 1.0])
     order = np.array([keys.index(s) for s in forms])
     order.flags.writeable = False  # shared by every call with these s_values
-    return screened, keys, w, order, all(-1.0 <= s <= 2.0 for s in keys)
+    return screened, keys, order, all(-1.0 <= s <= 2.0 for s in keys)
 
 
-def _cut(t: float, w: float) -> float:
+def _cut(t: float) -> float:
     """The cut below t, an exact K_s: no bound below it holds a maximum (``_screened``)."""
     t = max(t, 0.0)
-    return t - w * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf
+    return t - 2.0 * (1e-9 * t + 1e-14 * math.sqrt(t)) if t < math.inf else -math.inf
 
 
-def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: float, vals) -> None:
+def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], vals) -> None:
     """Each row's max of K_s for each s in ``screened`` (all in (-1, 2)) into the
     first len(``screened``) rows of ``vals``, and of K_2 and K_-1 into the next two.
 
@@ -330,11 +336,10 @@ def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: fl
       L2, each good to a few ulps of |L1| <= 745: about 1e-12 after e^(s*L1);
     - 1e-14*sqrt(t) covers the cancellation in the log forms: u*L1 and
       (1-u)*L2 are about d and -d, so K_0 and K_1 err by a few ulps of
-      2|d| + 2B, with |d| <= sqrt(B/2);
-    - the expm1 form's terms are about -s*d and s*d, and their sum is divided
-      by s(1-s), so it errs up to 1/|1-s| times as much as the log forms: the
-      margin is widened by w, the largest such factor above 1.
-    A row whose t is not finite drops nothing.  So each max is exact.
+      2|d| + 2B, with |d| <= sqrt(B/2).
+    Every other form errs at most twice as much (the module docstring), so
+    the margin is twice that.  A row whose t is not finite drops nothing.  So
+    each max is exact.
     """
     r, j, base = x.size // n, len(screened), np.arange(0, x.size, n)
     kn, k2 = _chi2_rows(x, n, ws, True), ws.k2
@@ -343,7 +348,7 @@ def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], w: fl
     np.maximum(np.maximum(k2[:-1], k2[1:], out=ws.out[:-1]), kn[:-1], out=ws.out[:-1])  # bounds
     top = (np.stack((np.maximum(top2 - 1, 0), np.minimum(top2, n - 2), topn)) + base).ravel()
     ts = _k_groups(top, x, ws, screened).reshape(j, 3, r, 2).max(axis=(1, 3)).min(axis=0)
-    lim = [_cut(t, w) for t in ts.tolist()]
+    lim = [_cut(t) for t in ts.tolist()]
     # a one-row stack compares with a scalar, several times faster than per row
     keep = (ws.out.reshape(r, n) >= (np.array(lim)[:, None] if r > 1 else lim[0])).ravel()
     keep[n - 1 :: n] = False  # no u-group
@@ -369,14 +374,10 @@ def _k_members(x: np.ndarray, lw: _Lw, flag: np.ndarray, keys: tuple[float, ...]
     j = lw.c[b] + np.arange(1, b.size + 1) - b.searchsorted(b)  # rank: below, then in the bucket
     n = x.size  # (u_j, X_j), then (u_{j-1}, X_j), with u_0, u_n read as u_1, u_{n-1}
     u, v = np.concatenate((np.minimum(j, n - 1), np.maximum(j - 1, 1))) / n, np.concatenate((v, v))
-    cu, cv, d = 1.0 - u, 1.0 - v, u - v
-    a, c, *ks = out = np.empty((2 + len(keys), v.size))
-    for s, k in zip(keys, ks):
-        _k_into(s, u, cu, v, cv, d, k, a, c)
-    return out[2:].max(axis=1, initial=0.0)
+    return _k_pairs(keys, u, v, 1.0 - v).max(axis=1, initial=0.0)
 
 
-def _bucketed(x: np.ndarray, keys: tuple[float, ...], w: float) -> np.ndarray:
+def _bucketed(x: np.ndarray, keys: tuple[float, ...]) -> np.ndarray:
     """Max K_s (at least 0), s in ``keys`` (all in [-1, 2]), over the row ``x``."""
     n, lw = x.size, getattr(_thread_slot, "lw", None)
     if lw is None or lw.ids.size != n:
@@ -401,7 +402,7 @@ def _bucketed(x: np.ndarray, keys: tuple[float, ...], w: float) -> np.ndarray:
     keep = np.zeros(m, dtype=bool)
     keep[[0, m - 1, low.argmax(), np.multiply(low, lw.sv, out=f).argmax()]] = True
     t = float(_k_members(x, lw, keep, keys).min())
-    keep |= bound >= _cut(t, w)  # t's buckets stay, where rounding lifts K_s above B
+    keep |= bound >= _cut(t)  # t's buckets stay, where rounding lifts K_s above B
     return _k_members(x, lw, keep, keys)
 
 
@@ -412,10 +413,10 @@ def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
     S_n(-1), s = 2 or -1 alone is the row max of K_2 or K_-1, and any other s
     makes a full pass.  No checks: the Monte-Carlo loop runs it millions of times."""
     r, n = rows.shape
-    screened, keys, w, order, bucketed = _plan(tuple(s_values))
+    screened, keys, order, bucketed = _plan(tuple(s_values))
     vals = np.zeros((len(keys), r))  # a full pass's running max starts at the clamp
     if bucketed and n >= _LONG_N:
-        vals[:] = np.transpose([_bucketed(row, keys, w) for row in rows])
+        vals[:] = np.transpose([_bucketed(row, keys) for row in rows])
     else:
         ws = getattr(_thread_slot, "ws", None)
         if ws is None or ws.u.size != n - 1 or ws.x.size != rows.size:
@@ -429,11 +430,11 @@ def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
         x.reshape(r, n).sort(axis=1)
         np.subtract(1.0, x, out=ws.cx)
         if screened:
-            _screened(x, n, ws, screened, w, vals)
+            _screened(x, n, ws, screened, vals)
         for i in range(len(screened) + 2 if screened else 0, len(keys)):
             if keys[i] == 2.0 or keys[i] == -1.0:
                 _chi2_rows(x, n, ws, keys[i] == -1.0).reshape(r, n).max(axis=1, out=vals[i])
-            else:  # K_s at (u_j, X_j), then at (u_{j-1}, X_j); the expm1 form reads no 1 - u
+            else:  # K_s at (u_j, X_j), then at (u_{j-1}, X_j); s > 2 or < -1 reads no 1 - u
                 for u in (ws.ur, ws.ul):
                     _k_into(keys[i], u, None, x, ws.cx, np.subtract(u, x, out=ws.k2), *ws[-3:])
                     np.maximum(vals[i], ws.out.reshape(r, n).max(axis=1), out=vals[i])

@@ -377,21 +377,21 @@ POWER_CSV_FIELDS = (
 )
 
 
-def power_csv(results) -> str:
-    """Power results as CSV text: the header, then one row per cell.
+def _csv_text(rows) -> str:
+    """The package's one CSV rendering: floats through ``repr`` (shortest
+    round-trip form), everything else through ``str``, one line per row."""
+    return "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)
 
-    Floats go through ``repr`` (shortest round-trip form), so the text is a
-    pure function of the results.
-    """
-    rows = [POWER_CSV_FIELDS] + [
+
+def power_csv(results) -> str:
+    """Power results as CSV text: the header, then one row per cell, a pure
+    function of the results."""
+    return _csv_text([POWER_CSV_FIELDS] + [
         (r.family, r.beta, r.r, r.s, r.n, r.alpha, r.reps, r.seed,
          r.rejection_rate, r.wilson_ci[0], r.wilson_ci[1])
         for r in results
-    ]
-    return "".join(
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows
-    )
+    ])
 
 
 def write_power_csv(results, path) -> Path:

@@ -493,10 +493,9 @@ def _pit(x: np.ndarray, noise: Distribution) -> np.ndarray:
     ok = (x > lo) & (x < hi)
     if not np.all(ok):
         i = int(np.flatnonzero(~ok)[0])
-        raise DomainError(
-            f"observation {i} = {float(x[i])!r} outside the open support ({lo}, {hi}) "
-            f"of {noise.name}: its p-value would be exactly 0 or 1"
-        )
+        raise DomainError(f"observation {i} is not a number" if np.isnan(x[i]) else
+                          f"observation {i} = {float(x[i])!r} outside the open support "
+                          f"({lo}, {hi}) of {noise.name}: its p-value would be exactly 0 or 1")
     return np.clip(noise.cdf(x), _P_FLOOR, _P_CEIL)
 
 

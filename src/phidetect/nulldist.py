@@ -85,7 +85,7 @@ def gumbel_quantile(p) -> float | np.ndarray:
 
 
 #: On-disk format version for calibration tables.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True, eq=False)

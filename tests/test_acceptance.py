@@ -513,6 +513,28 @@ def test_criterion_8_boundary_optimality_gap(run_a, criterion_log):
             f"{dt:.0f}s (cap 1800s)")
 
 
+def test_transfer_to_location_gumbel_sparse(run_a):
+    """The paper's transfer claim on a non-normal exponential family: location-
+    Gumbel sparse (tail exponent p = 1, beta^#(r) = (min(r, 1) + 1)/2) at n = 1e5,
+    on the warm-up's five-s tables (no table is built).  Well above the boundary
+    (beta = 0.6, r = 0.8; beta^# = 0.9) every s detects; well below it (beta = 0.9,
+    r = 0.5; beta^# = 0.75) none does.  The bounds are criterion 6's, 0.9 and 0.3,
+    applied to the 99% Wilson interval of each cell's rate."""
+    cells = {}
+    for beta, r in ((0.6, 0.8), (0.9, 0.5)):
+        cfg = PowerGridConfig(
+            family="location-gumbel", regime="sparse", betas=(beta,), rs=(r,),
+            s_values=S_GAP, n_values=(100_000,), alpha=0.05, reps=200, seed=SEED_SPARSE,
+            cache_dir=run_a.cache_dir, table_reps=TABLE_REPS, table_seed=SEED_TABLES,
+        )
+        cells[beta] = power_sweep(cfg)
+    assert all(c.error is None for cs in cells.values() for c in cs)
+    above = {c.s: c.wilson_ci for c in cells[0.6]}
+    below = {c.s: c.wilson_ci for c in cells[0.9]}
+    assert all(lo >= 0.9 for lo, _ in above.values()), above
+    assert all(hi <= 0.3 for _, hi in below.values()), below
+
+
 def test_criterion_9_determinism_across_workers(run_a, acceptance_dir, criterion_log):
     for num in _DRIVERS:
         _get_or_fail(run_a, num, criterion_log)

@@ -202,6 +202,14 @@ def test_cmd_test_error_exits(capsys, tmp_path):
     assert code == 2 and "unknown model" in err
 
 
+def test_cmd_test_says_a_nan_observation_is_not_a_number(capsys, tmp_path):
+    nan = tmp_path / "nan.txt"
+    nan.write_text("0.5\nnan\n0.25\n")
+    code, out, err = _run(capsys, ["test", nan, "--s", "2", "--reps", "100",
+                                   "--cache-dir", tmp_path / "cache"])
+    assert (code, out, err) == (2, "", "error: observation 1 is not a number\n")
+
+
 def test_cmd_test_rejects_a_bad_level_before_any_table(capsys, tmp_path, datafile):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from phidetect import (
 )
 from phidetect import divergence
 from phidetect._rand import _fill_uniform
-from phidetect.divergence import _sup
+from phidetect.divergence import S_REGIME_TOL, _sup
 from phidetect.models import _sample_pvalues
 from phidetect.nulldist import _mc_stats
 
@@ -233,6 +234,48 @@ def test_kappa_continuous_in_s_at_limit_points():
             base = kappa(s0, u, v)
             assert abs(kappa(s0 + 2e-8, u, v) - base) < 1e-6
             assert abs(kappa(s0 - 2e-8, u, v) - base) < 1e-6
+
+
+#: Moderate (u, v) with |u - v| from 1e-7 to 0.7, each away from the p-value floor.
+MODERATE_UV = [(0.5, 0.4999), (0.9, 0.9000001), (0.3, 0.6), (0.9, 0.2), (0.01, 0.5),
+               (0.25, 0.2500003), (0.7, 0.69)]
+
+
+def _mp_kappa(s: float, u: float, v: float):
+    """K_s(u, v) in the textbook form at 50 digits, on the exact binary inputs."""
+    with mpmath.workdps(50):
+        s, u, v = mpmath.mpf(s), mpmath.mpf(u), mpmath.mpf(v)
+        return (1 - u**s * v ** (1 - s) - (1 - u) ** s * (1 - v) ** (1 - s)) / (s * (1 - s))
+
+
+def test_kappa_near_one_matches_50_digit_references():
+    # For 1/2 < s < 2 the two terms u*expm1((s-1)L1) and (1-u)*expm1((s-1)L2) are
+    # about (s-1)d and -(s-1)d, each good to a few ulps; divided by s(1-s) they err
+    # by a few eps|d|/|s|, and K_s is about d^2/(2v(1-v)) >= 2d^2, so the relative
+    # error is a few eps/(2|s||d|) < a few eps/|d|.  The form centred at s = 0 erred
+    # 1/|1-s| times as much: 7e-6 and 4e-3 relative at the first two pairs for
+    # s = 1 + 2e-8 and 1 + 1e-7.
+    eps = 2.0**-52
+    for s in (1.0 + 2e-8, 1.0 - 2e-8, 1.0 + 1e-7, 1.0 + 1e-6, 1.0 - 1e-6, 0.75, 1.5, 1.9):
+        for u, v in MODERATE_UV:
+            want = _mp_kappa(s, u, v)
+            rel = abs((mpmath.mpf(kappa(s, u, v)) - want) / want)
+            assert rel <= 4.0 * eps / abs(u - v), (s, u, v, float(rel))
+
+
+def test_kappa_is_continuous_across_the_regime_tolerance():
+    # d/ds log K_s is a weighted mean of log x over x between (1-u)/(1-v) and u/v
+    # (the module docstring's integral), so |K_s / K_s0 - 1| <= |s - s0| max(|L1|, |L2|)
+    # to first order, plus the forms' rounding, a few eps/|d| on each side.
+    eps = 2.0**-52
+    for u, v in MODERATE_UV:
+        slope = max(abs(math.log(u / v)), abs(math.log((1.0 - u) / (1.0 - v))))
+        for s0 in (0.0, 1.0):
+            base = kappa(s0, u, v)
+            for ds in (2e-8, 1.01 * S_REGIME_TOL, 0.99 * S_REGIME_TOL):
+                for s in (s0 + ds, s0 - ds):
+                    gap = abs(kappa(s, u, v) / base - 1.0)
+                    assert gap <= 1.01 * ds * slope + 8.0 * eps / abs(u - v), (s, u, v, gap)
 
 
 def test_kappa_taylor_agreement_with_s2_as_u_approaches_v():
@@ -565,6 +608,35 @@ def test_screened_berk_jones_max_equals_the_full_candidate_max():
             want = _full_candidate_reference(values, s)
             assert g == want, (n, s, values[:2])
             assert sup_statistic(sample, s) == want, (n, s, values[:2])
+
+
+#: Rows whose largest K_2 is tied, to within rounding, by an order statistic outside
+#: the u-groups the screen's t comes from (found by moving that value ulp by ulp
+#: across the tie).  At s = 2 - 2^-52, K_s is within an ulp of K_2, so rounding lifts
+#: the later group's K_s above both its bound and t: with no margin in ``_cut`` the
+#: screen drops the group that holds the maximum.
+NEAR_TIE_ROWS = [
+    [0.0570035723497443, 0.24734349791359958, 0.3523503306310373, 0.47060131752177103],
+    [0.08219276813444816, 0.5114114483703187, 0.7606804002750428, 0.8765573637087238],
+    [0.047444155897015526, 0.4623884891489608, 0.6808411766955118, 0.8536478525739694,
+     0.8563533886435986],
+    [0.07710456210549724, 0.3298825021460882, 0.37675654265889, 0.6025818241389561,
+     0.8494238237707251],
+]
+
+
+def test_screen_margin_keeps_a_group_that_rounding_lifts_above_its_bound():
+    s_values = [2.0 - 2.0**-52, 2.0 - 1e-15]
+    for row in NEAR_TIE_ROWS:
+        values = np.array(row)
+        got = sup_statistic_values(SortedPValueSample(values), s_values)
+        for s, g in zip(s_values, got):
+            assert g == _full_candidate_reference(values, s), (row, s)
+    stack = np.array(NEAR_TIE_ROWS[:2])
+    vals = _sup(stack, s_values)
+    for j, row in enumerate(stack):
+        for s, v in zip(s_values, vals[:, j]):
+            assert v == _full_candidate_reference(row, s), (j, s)
 
 
 def test_long_rows_in_any_order_equal_the_full_candidate_max(monkeypatch):

@@ -442,6 +442,13 @@ def test_to_pvalues_support_violation():
     assert "-1.0" in str(err.value)
 
 
+def test_to_pvalues_says_a_nan_observation_is_not_a_number():
+    for noise in (Normal(), Exponential(1.0), Uniform()):
+        with pytest.raises(DomainError) as err:
+            to_pvalues([0.5, math.nan, 0.25], noise)
+        assert str(err.value) == "observation 1 is not a number"
+
+
 def test_to_pvalues_clamps_saturated_tails():
     # far in the upper tail the cdf rounds to 1.0; the transform must stay open
     sample = to_pvalues([1e-320, 0.5, 800.0], Exponential(1.0))

@@ -48,6 +48,16 @@ def test_reused_replicate_stream_draws_what_replicate_rng_draws():
     assert seen == len(reps)
 
 
+def test_replicate_rng_reads_a_numpy_integer_index_as_its_value():
+    # numpy shifts wrap, so np.int64(3) << 128 was 0: replicate 0's stream
+    for rep in (3, 2**63 - 1):
+        want = replicate_rng(5, rep).random(4)
+        np.testing.assert_array_equal(replicate_rng(5, np.int64(rep)).random(4), want)
+        np.testing.assert_array_equal(replicate_rng(5, np.uint64(rep)).random(4), want)
+    with pytest.raises(TypeError):
+        replicate_rng(5, 3.0)
+
+
 def test_replicate_index_validation():
     with pytest.raises(ValueError):
         replicate_rng(1, -1)
