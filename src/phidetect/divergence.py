@@ -70,7 +70,8 @@ statistic, K_-1 once per u-step, and the screen bounds a u-group by the larger
 of its K_-1 and the K_2 at X_i and X_{i+1}: at least B at both its candidates.
 
 Long rows skip the sort.  ``_sup`` takes rows in any order; it sorts a copy
-unless n >= ``_LONG_N`` (2^14) and every s is in [-1, 2].  Then ``_bucketed``
+(a copy alone of rows it is told are sorted, as the statistics' are) unless
+n >= ``_LONG_N`` (2^14) and every s is in [-1, 2].  Then ``_bucketed``
 puts the values in m = 2^k buckets of width 1/m, n/16 < m <= n/8 (floor(m x)
 is exact), and a cumsum of the counts gives bucket k the ranks lo+1..hi.  Its
 candidates lie in the box u in [lo/n, hi/n], X in [k/m, (k+1)/m], where each
@@ -88,8 +89,10 @@ that loop only.  A sorted stack is read flat: slot j - 1 of a row holds X_j,
 K_2 at X_j and u-group j (the last slot no u-group).  Each pass covers the
 stack, so a stack pays numpy's per-call overhead once, and each reduction
 stays in a row, so a row's values do not depend on its stack.  Each thread
-keeps one workspace per path, for its last n (and R) (numpy releases the GIL,
-so a shared one would race); no view of it outlives a call.
+keeps one workspace, for its last path, n and R (numpy releases the GIL, so a
+shared one would race); no view of it outlives a call.  A call that needs
+another drops the old one before it builds the new, so a thread that serves
+short and long rows, or several n, never holds two at once (``_workspace``).
 """
 
 from __future__ import annotations
@@ -191,7 +194,10 @@ def phi(s: float, x) -> float | np.ndarray:
             out = np.where(xa == 0.0, 1.0, xa * lx - w)  # 0*log(0) limit
         else:
             out = (s * w - np.expm1(s * lx)) / (s * (1.0 - s))
-            if s < -1.0:  # s * w overflows near the float maximum, where phi_s is finite
+            if 0.5 < s < 2.0:  # centred at s = 1, as in ``_k_into``: x^s = x e^((s-1) log x)
+                near = -w / s - xa * np.expm1((s - 1.0) * lx) / (s * (1.0 - s))
+                out = np.where(np.isfinite(near), near, out)  # 0*inf at x = 0, inf - inf at huge x
+            elif s < -1.0:  # s * w overflows near the float maximum, where phi_s is finite
                 out = np.where(np.isinf(out), w / (1.0 - s) - np.expm1(s * lx) / (s * (1.0 - s)), out)
         out = np.where(np.isnan(out), np.inf, out)  # inf - inf: phi_s -> +inf as x -> inf
     return float(out) if np.ndim(x) == 0 else out
@@ -274,8 +280,27 @@ def _k_pairs(keys: tuple[float, ...], u, v, cv) -> np.ndarray:
 
 _thread_slot = threading.local()
 
-#: A thread's workspace: u_i; then, R*n long, u_j, u_{j-1}, 2u(1-u), X, 1 - X, K_2 and scratch.
+
+def _workspace(build, *key):
+    """This thread's one kernel workspace, ``build(*key)``, kept while calls ask for the
+    same.  The reuse test reads the key alone and the slot drops the old workspace
+    before the new one is built, so its arrays are freed first: never two at once."""
+    slot = _thread_slot
+    if getattr(slot, "key", None) != (build, *key):
+        slot.ws = slot.key = None
+        slot.ws, slot.key = build(*key), (build, *key)
+    return slot.ws
+
+
+#: The sorted path's workspace (in the thread's one slot, which ``_Lw`` shares): u_i;
+#: then, R*n long, u_j, u_{j-1}, 2u(1-u), X, 1 - X, K_2 and scratch.
 _Ws = collections.namedtuple("_Ws", "u ur ul du x cx k2 out a b")
+
+
+def _sorted_ws(n: int, r: int) -> _Ws:
+    u = np.arange(1, n, dtype=np.float64) / n
+    steps = (np.append(u, u[-1]), np.insert(u, 0, u[0]), np.append(2.0 * (u * (1.0 - u)), 1.0))
+    return _Ws(u, *(np.tile(y, r) for y in steps), *(np.empty(r * n) for _ in range(6)))
 
 
 def _chi2(d, q, out) -> np.ndarray:
@@ -362,9 +387,18 @@ def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], vals)
 #: 2^(bit_length(n) - _BUCKET_BITS) buckets, n/16 < m <= n/8.
 _LONG_N, _BUCKET_BITS = 1 << 14, 4
 
-#: A thread's workspace for long rows: bucket ids and a mask (n long); at the m + 1 bucket edges,
-#: counts below, u, u(1-u), v; per bucket, least v(1-v), 1/sqrt(largest v(1-v)); scratch.
+#: The long rows' workspace (in the thread's one slot, which ``_Ws`` shares): bucket ids and
+#: a mask (n long); at the m + 1 bucket edges, counts below, u, u(1-u), v; per bucket, least
+#: v(1-v), 1/sqrt(largest v(1-v)); scratch.
 _Lw = collections.namedtuple("_Lw", "ids mask c u q v qv sv e f g")
+
+
+def _long_ws(n: int) -> _Lw:
+    m = 1 << (n.bit_length() - _BUCKET_BITS)
+    q = (v := np.arange(m + 1) / m) * (1.0 - v)
+    return _Lw(np.empty(n, np.intp), np.empty(n, bool), np.zeros(m + 1), *np.empty((2, m + 1)), v,
+               np.minimum(q[:-1], q[1:]), 1.0 / np.sqrt(np.maximum(q[:-1], q[1:])),
+               *np.empty((3, m)))
 
 
 def _k_members(x: np.ndarray, lw: _Lw, flag: np.ndarray, keys: tuple[float, ...]):
@@ -379,13 +413,7 @@ def _k_members(x: np.ndarray, lw: _Lw, flag: np.ndarray, keys: tuple[float, ...]
 
 def _bucketed(x: np.ndarray, keys: tuple[float, ...]) -> np.ndarray:
     """Max K_s (at least 0), s in ``keys`` (all in [-1, 2]), over the row ``x``."""
-    n, lw = x.size, getattr(_thread_slot, "lw", None)
-    if lw is None or lw.ids.size != n:
-        m = 1 << (n.bit_length() - _BUCKET_BITS)
-        q = (v := np.arange(m + 1) / m) * (1.0 - v)
-        lw = _thread_slot.lw = _Lw(np.empty(n, np.intp), np.empty(n, bool), np.zeros(m + 1),
-                                   *np.empty((2, m + 1)), v, np.minimum(q[:-1], q[1:]),
-                                   1.0 / np.sqrt(np.maximum(q[:-1], q[1:])), *np.empty((3, m)))
+    n, lw = x.size, _workspace(_long_ws, x.size)
     m, u, v, (e, f, g) = lw.qv.size, lw.u, lw.v, lw[-3:]
     np.multiply(x, m, out=lw.ids, casting="unsafe")  # floor(m x), exact: m = 2^k
     np.cumsum(np.bincount(lw.ids, minlength=m), out=lw.c[1:])
@@ -406,9 +434,10 @@ def _bucketed(x: np.ndarray, keys: tuple[float, ...]) -> np.ndarray:
     return _k_members(x, lw, keep, keys)
 
 
-def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
+def _sup(rows: np.ndarray, s_values: list[float], presorted: bool = False) -> np.ndarray:
     """S_n(s) for each s in ``s_values`` on each row, in any order, of the (R, n)
-    stack ``rows``, shaped (len(s_values), R).  Long rows may skip the sort; on
+    stack ``rows``, shaped (len(s_values), R).  Long rows may skip the sort, and
+    ``presorted`` rows (each ascending) are copied unsorted; on
     sorted rows one screen serves every s in (-1, 2) and yields S_n(2) and
     S_n(-1), s = 2 or -1 alone is the row max of K_2 or K_-1, and any other s
     makes a full pass.  No checks: the Monte-Carlo loop runs it millions of times."""
@@ -418,16 +447,11 @@ def _sup(rows: np.ndarray, s_values: list[float]) -> np.ndarray:
     if bucketed and n >= _LONG_N:
         vals[:] = np.transpose([_bucketed(row, keys) for row in rows])
     else:
-        ws = getattr(_thread_slot, "ws", None)
-        if ws is None or ws.u.size != n - 1 or ws.x.size != rows.size:
-            u = np.arange(1, n, dtype=np.float64) / n
-            steps = (np.append(u, u[-1]), np.insert(u, 0, u[0]),
-                     np.append(2.0 * (u * (1.0 - u)), 1.0))
-            ws = _thread_slot.ws = _Ws(u, *(np.tile(y, r) for y in steps),
-                                       *(np.empty(rows.size) for _ in range(6)))
+        ws = _workspace(_sorted_ws, n, r)
         x = ws.x
         np.copyto(x.reshape(r, n), rows)
-        x.reshape(r, n).sort(axis=1)
+        if not presorted:
+            x.reshape(r, n).sort(axis=1)
         np.subtract(1.0, x, out=ws.cx)
         if screened:
             _screened(x, n, ws, screened, vals)
@@ -453,7 +477,7 @@ def sup_statistic_values(sample: SortedPValueSample, s_values) -> np.ndarray:
     if sample.n < 2:
         raise DomainError("sup_statistic needs n >= 2 (the sup range is empty for n=1)")
     with np.errstate(over="ignore"):
-        return _sup(sample.values[None], [_finite_s(s) for s in s_values])[:, 0]
+        return _sup(sample.values[None], [_finite_s(s) for s in s_values], presorted=True)[:, 0]
 
 
 def z_sup(sample: SortedPValueSample, a: float, b: float) -> float:

@@ -104,7 +104,7 @@ class Uniform(Distribution):
     support = (0.0, 1.0)
 
     def cdf(self, x):
-        return np.asarray(x, dtype=np.float64)
+        return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
     def quantile(self, u):
         return _check_unit_open(u)
@@ -136,7 +136,8 @@ class Normal(Distribution):
 
     def cdf(self, x):
         from scipy.special import ndtr
-        return ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
+        with np.errstate(over="ignore"):  # (x - mu)/sigma = +-inf: cdf 0 or 1
+            return ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
 
     def quantile(self, u):
         from scipy.special import ndtri
@@ -161,7 +162,7 @@ class Exponential(Distribution):
             raise DomainError("exponential model needs scale > 0")
 
     def cdf(self, x):
-        return -np.expm1(-np.asarray(x, dtype=np.float64) / self.scale)
+        return -np.expm1(-np.maximum(np.asarray(x, dtype=np.float64), 0.0) / self.scale)
 
     def quantile(self, u):
         return -self.scale * np.log1p(-_check_unit_open(u))
@@ -190,7 +191,8 @@ class Gumbel(Distribution):
             raise DomainError("gumbel model needs finite loc")
 
     def cdf(self, x):
-        return np.exp(-np.exp(-(np.asarray(x, dtype=np.float64) - self.loc)))
+        with np.errstate(over="ignore"):  # exp(-(x - loc)) = inf far below loc: cdf 0
+            return np.exp(-np.exp(-(np.asarray(x, dtype=np.float64) - self.loc)))
 
     def quantile(self, u):
         return self.loc - np.log(-np.log(_check_unit_open(u)))
@@ -223,7 +225,9 @@ class Frechet(Distribution):
     def cdf(self, x):
         xa = np.asarray(x, dtype=np.float64)
         pos = xa > 0.0
-        return np.where(pos, np.exp(-(np.where(pos, xa, 1.0) / self.scale) ** (-self.shape)), 0.0)
+        with np.errstate(over="ignore"):  # (x/scale)^-shape = 0 or inf in the tails: cdf 1 or 0
+            g = (np.where(pos, xa, 1.0) / self.scale) ** (-self.shape)
+        return np.where(pos, np.exp(-g), 0.0)
 
     def quantile(self, u):
         return self.scale * (-np.log(_check_unit_open(u))) ** (-1.0 / self.shape)

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
@@ -138,6 +139,29 @@ def test_phi_continuous_in_s_near_limits():
         assert abs(phi(1.0 + 2e-8, x) - phi(1.0, x)) < 1e-6
     # inside the window the closed form is used verbatim
     assert phi(1e-12, math.e) == phi(0.0, math.e)
+
+
+def test_phi_near_one_matches_50_digit_references():
+    # For 1/2 < s < 2, phi_s(x) = -(x-1)/s - x expm1((s-1) log x)/(s(1-s)).  On [1/8, 8]
+    # each term errs by at most 13 eps relative: x - 1 (exact on [1/2, 2], else eps/2),
+    # log1p (1 ulp, and x - 1's error times |(x-1)/(x log x)| <= 3.4), the product with
+    # s - 1 (eps/2), expm1 (1 ulp, and its argument's error times 1 + |(s-1) log x| <=
+    # 3.1), then three roundings.  The terms' magnitudes add up to at most 16 max(1,
+    # 1/|x-1|) phi_s(x) (near x = 1 each is about |x-1|/s and phi_s about (x-1)^2/2),
+    # so with the sum's rounding the relative error is below 210 eps max(1, 1/|x-1|).
+    # The form centred at s = 0 erred 1/|1-s| times as much: 2.1e-2 relative at
+    # phi(1 + 1e-7, 1 + 1e-7), 4.0e-5 at phi(1 + 2e-8, 1.0002), 2.0e-9 at phi(1 - 1e-7, 3).
+    eps = 2.0**-52
+    xs = [1.0 + sign * 10.0**-k for k in range(1, 13) for sign in (1, -1)]
+    xs += [0.125, 1.0 / 3.0, 0.9, 1.0002, 1.1, 2.0, 3.0, 8.0]
+    for s in (1.0 + 2e-8, 1.0 - 2e-8, 1.0 + 1e-7, 1.0 - 1e-7, 1.0 + 1e-6, 1.0 - 1e-6,
+              0.5 + 2.0**-30, 0.75, 1.5, 1.9, 2.0 - 2.0**-30):
+        for x in xs:
+            with mpmath.workdps(50):
+                ms, mx = mpmath.mpf(s), mpmath.mpf(x)
+                want = (1 - ms + ms * mx - mx**ms) / (ms * (1 - ms))
+                rel = abs((mpmath.mpf(phi(s, x)) - want) / want)
+            assert rel <= 210.0 * eps * max(1.0, 1.0 / abs(x - 1.0)), (s, x, float(rel))
 
 
 # --------------------------------------------------------------------------
@@ -523,6 +547,51 @@ def test_workspace_reuse_across_n_and_threads():
     assert got == serial
 
 
+def _interleaved_rows() -> list:
+    """Sorted, long, sorted, long and sorted rows in one thread: the kinds of the
+    workspaces that this thread's slot holds after each call."""
+    held = []
+    for n in (1000, 20000, 50, 16385, 1000):
+        sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(8, n), n)))
+        sup_statistic_values(sample, FIVE_S)
+        held.append([type(w) for w in vars(divergence._thread_slot).values()
+                     if isinstance(w, (divergence._Ws, divergence._Lw))])
+    return held
+
+
+def test_a_thread_holds_one_workspace_across_short_and_long_rows():
+    ws, lw = divergence._Ws, divergence._Lw
+    assert _in_fresh_thread(_interleaved_rows) == [[ws], [lw], [ws], [lw], [ws]]
+
+
+def test_the_old_workspace_is_freed_before_the_next_is_built(monkeypatch):
+    built, live_at_build = [], []
+
+    def watched(build):
+        def build_and_watch(*key):
+            live_at_build.append(sum(ref() is not None for refs in built for ref in refs))
+            ws = build(*key)
+            built.append([weakref.ref(a) for a in ws])
+            return ws
+        return build_and_watch
+
+    for name in ("_sorted_ws", "_long_ws"):
+        monkeypatch.setattr(divergence, name, watched(getattr(divergence, name)))
+    _in_fresh_thread(_interleaved_rows)
+    assert live_at_build == [0] * 5
+
+
+def test_sorted_samples_skip_the_sort_with_the_same_bits():
+    rng = np.random.default_rng(77)
+    for n in (2, 50, 1000, 10000):
+        sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(10, n), n)))
+        shuffled = rng.permutation(sample.values)
+        for s_values in (FIVE_S, (3.0,), (-1.5,)):
+            want = _sup(shuffled[None], list(s_values))[:, 0]
+            assert sup_statistic_values(sample, s_values).tobytes() == want.tobytes(), n
+            assert [sup_statistic(sample, s) for s in s_values] == want.tolist(), n
+
+
 def test_warm_kernel_allocates_less_than_one_candidate_array():
     n = 100_000
     sample = SortedPValueSample(np.sort(uniform_open(replicate_rng(5, 0), n)))
@@ -566,7 +635,8 @@ def test_multi_s_matches_single(rng=np.random.default_rng(515)):
 
 
 #: The Berk-Jones members, then the rest of the range (-1, 2) the screen serves;
-#: 1 + 1e-6 is an expm1-form member whose rounding needs the widened margin.
+#: 1 + 1e-6 is an expm1-form member next to s = 1, where the form centred at s = 1
+#: keeps its rounding within the screens' constant margin (no widening).
 SCREENED_S = (0.0, 5e-9, 1.0, 1.0 + 5e-9,
               -1.0 + 1e-9, -0.5, 0.25, 0.5, 0.75, 1.0 + 1e-6, 1.5, 2.0 - 1e-9)
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,29 @@ def test_known_cdf_points():
     assert Frechet(1.0).cdf(0.0) == 0.0
     assert Frechet(1.0).cdf(-3.0) == 0.0
     assert Normal().cdf(0.0) == pytest.approx(0.5, rel=1e-15)
+
+
+#: Laws with points below and above their support; on the whole line, far tails where
+#: the cdf rounds to 0 or 1 and a term overflows (Gumbel(1.5) at -800: exp(801.5)).
+CDF_OUTSIDE = [
+    (Uniform(), [-math.inf, -1e308, -0.5, -1e-300], [1.0 + 2.0**-52, 1.5, 1e308, math.inf]),
+    (Exponential(0.7), [-math.inf, -1e308, -1.0, -1e-300], [1e308, math.inf]),
+    (Frechet(2.0, 0.5), [-math.inf, -1e308, -3.0, -1e-300], [1e308, math.inf]),
+    (Normal(2.0, 3.0), [-math.inf, -1e308, -800.0], [800.0, 1e308, math.inf]),
+    (Gumbel(1.5), [-math.inf, -1e308, -800.0], [800.0, 1e308, math.inf]),
+    (Normal(1e308, 1e-300), [-math.inf, -1e308, 0.0], [math.inf]),
+    (Gumbel(-1e308), [-math.inf], [1e308, math.inf]),
+]
+
+
+@pytest.mark.parametrize("dist, below, above", CDF_OUTSIDE,
+                         ids=[law.name + "-far" * (i > 4) for i, (law, *_) in enumerate(CDF_OUTSIDE)])
+def test_cdf_is_0_below_the_support_and_1_above_it(dist, below, above):
+    want = [0.0] * len(below) + [1.0] * len(above)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and with no RuntimeWarning
+        assert dist.cdf(np.array(below + above)).tolist() == want
+        assert [dist.cdf(x) for x in below + above] == want
 
 
 def test_parameter_validation():
