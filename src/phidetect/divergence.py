@@ -76,10 +76,11 @@ puts the values in m = 2^k buckets of width 1/m, n/16 < m <= n/8 (floor(m x)
 is exact), and a cumsum of the counts gives bucket k the ranks lo+1..hi.  Its
 candidates lie in the box u in [lo/n, hi/n], X in [k/m, (k+1)/m], where each
 K_s with s in [-1, 2] is at most B <= (largest (u-v)^2)/(2 least u(1-u) or
-v(1-v)).  t is the least over s of the largest K_s in four buckets; only the
-buckets whose bound reaches ``_cut`` below t are sorted, ranked from the
-counts and evaluated, by the ``_k_into`` operations a sorted row's candidates
-get: the maxima are bit-identical, with no n log n sort or n-long K_2 pass.
+v(1-v)).  The ``_TOP`` buckets with the largest bounds (the edges' is inf) are
+sorted, ranked from the counts and evaluated as a sorted row's candidates are
+(``_k_into``); t, the least over s of their largest K_s, is at most each max,
+so another bucket is evaluated only if its bound reaches ``_cut`` below t
+(rarely): bit-identical maxima, with no n log n sort or n-long K_2 pass.
 
 ``_sup`` is the one path from samples to S_n(s), shared by the statistics (a
 one-row stack) and the Monte-Carlo loop of null tables, power cells and
@@ -332,6 +333,8 @@ def _plan(s_values: tuple[float, ...]):
     """How ``_sup`` serves ``s_values``, as kernel s (``_kernel_s``): the distinct
     s in (-1, 2); then 2.0 and -1.0, which the screen yields, and the rest.
     Also each of ``s_values``' place in that order, and whether all are in [-1, 2]."""
+    if not s_values:
+        raise DomainError("need at least one divergence parameter s")
     forms = [_kernel_s(s) for s in s_values]
     screened = tuple(dict.fromkeys(s for s in forms if -1.0 < s < 2.0))
     keys = (*screened, 2.0, -1.0) if screened else ()
@@ -384,27 +387,26 @@ def _screened(x: np.ndarray, n: int, ws: _Ws, screened: tuple[float, ...], vals)
 
 
 #: Rows this long skip the sort when every s is in [-1, 2]; they are put in
-#: 2^(bit_length(n) - _BUCKET_BITS) buckets, n/16 < m <= n/8.
-_LONG_N, _BUCKET_BITS = 1 << 14, 4
+#: 2^(bit_length(n) - _BUCKET_BITS) buckets, n/16 < m <= n/8, _TOP of them first.
+_LONG_N, _BUCKET_BITS, _TOP = 1 << 14, 4, 96
 
 #: The long rows' workspace (in the thread's one slot, which ``_Ws`` shares): bucket ids and
 #: a mask (n long); at the m + 1 bucket edges, counts below, u, u(1-u), v; per bucket, least
-#: v(1-v), 1/sqrt(largest v(1-v)); scratch.
-_Lw = collections.namedtuple("_Lw", "ids mask c u q v qv sv e f g")
+#: v(1-v); scratch.
+_Lw = collections.namedtuple("_Lw", "ids mask c u q v qv e f")
 
 
 def _long_ws(n: int) -> _Lw:
     m = 1 << (n.bit_length() - _BUCKET_BITS)
     q = (v := np.arange(m + 1) / m) * (1.0 - v)
     return _Lw(np.empty(n, np.intp), np.empty(n, bool), np.zeros(m + 1), *np.empty((2, m + 1)), v,
-               np.minimum(q[:-1], q[1:]), 1.0 / np.sqrt(np.maximum(q[:-1], q[1:])),
-               *np.empty((3, m)))
+               np.minimum(q[:-1], q[1:]), *np.empty((2, m)))
 
 
 def _k_members(x: np.ndarray, lw: _Lw, flag: np.ndarray, keys: tuple[float, ...]):
     """Max K_s (at least 0), s in ``keys``, at the values of ``x`` in the buckets ``flag`` marks."""
-    (idx,) = np.take(flag, lw.ids, out=lw.mask).nonzero()
-    v, b = np.sort(x[idx]), np.sort(lw.ids[idx])  # the same order: floor(m x) is monotone
+    v = np.sort(x[np.take(flag, lw.ids, out=lw.mask)])
+    b = (v * flag.size).astype(np.intp)  # each value's bucket floor(m v), as in ``lw.ids``
     j = lw.c[b] + np.arange(1, b.size + 1) - b.searchsorted(b)  # rank: below, then in the bucket
     n = x.size  # (u_j, X_j), then (u_{j-1}, X_j), with u_0, u_n read as u_1, u_{n-1}
     u, v = np.concatenate((np.minimum(j, n - 1), np.maximum(j - 1, 1))) / n, np.concatenate((v, v))
@@ -414,7 +416,7 @@ def _k_members(x: np.ndarray, lw: _Lw, flag: np.ndarray, keys: tuple[float, ...]
 def _bucketed(x: np.ndarray, keys: tuple[float, ...]) -> np.ndarray:
     """Max K_s (at least 0), s in ``keys`` (all in [-1, 2]), over the row ``x``."""
     n, lw = x.size, _workspace(_long_ws, x.size)
-    m, u, v, (e, f, g) = lw.qv.size, lw.u, lw.v, lw[-3:]
+    m, u, v, e, f = lw.qv.size, lw.u, lw.v, lw.e, lw.f
     np.multiply(x, m, out=lw.ids, casting="unsafe")  # floor(m x), exact: m = 2^k
     np.cumsum(np.bincount(lw.ids, minlength=m), out=lw.c[1:])
     np.divide(lw.c, n, out=u)  # bucket k's candidates: u in [u[k], u[k+1]], X in [v[k], v[k+1]]
@@ -425,13 +427,11 @@ def _bucketed(x: np.ndarray, keys: tuple[float, ...]) -> np.ndarray:
     np.minimum(np.minimum(lw.q[:-1], lw.q[1:], out=f), lw.qv, out=f)
     with np.errstate(divide="ignore"):
         bound = np.divide(e, np.add(f, f, out=f), out=e)
-    # t from the edges, and the largest least |u - v| against 2u(1-u) <= 1/2 and 2v(1-v)
-    low = np.maximum(np.subtract(u[:-1], v[1:], out=f), np.subtract(v[:-1], u[1:], out=g), out=f)
-    keep = np.zeros(m, dtype=bool)
-    keep[[0, m - 1, low.argmax(), np.multiply(low, lw.sv, out=f).argmax()]] = True
-    t = float(_k_members(x, lw, keep, keys).min())
-    keep |= bound >= _cut(t)  # t's buckets stay, where rounding lifts K_s above B
-    return _k_members(x, lw, keep, keys)
+    top = np.zeros(m, dtype=bool)  # with the edge buckets, whose bound is inf
+    top[np.argpartition(bound, m - _TOP)[m - _TOP :]] = True
+    best = _k_members(x, lw, top, keys)
+    rest = (bound >= _cut(float(best.min()))) & ~top  # t = best.min() is at most each max
+    return np.maximum(best, _k_members(x, lw, rest, keys)) if rest.any() else best
 
 
 def _sup(rows: np.ndarray, s_values: list[float], presorted: bool = False) -> np.ndarray:

@@ -19,6 +19,7 @@ from phidetect import (
     DomainError,
     MixtureSpec,
     SortedPValueSample,
+    boundary_comparison,
     ensure_tables,
     kappa,
     mc_null_tables,
@@ -128,6 +129,19 @@ def test_divergence_parameter_must_be_finite(s, tmp_path):
                  lambda: mc_null_tables(20, [2.0, s], 100, 0),
                  lambda: ensure_tables(tmp_path, 20, [s], 100, 0)):
         with pytest.raises(DomainError, match="finite"):
+            call()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_s_list_is_a_domain_error(tmp_path):
+    sample = SortedPValueSample(np.array([0.2, 0.5, 0.7]))
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.25, 0.25, 100)
+    for call in (lambda: sup_statistic_values(sample, []),
+                 lambda: scaled_statistics(sample, []),
+                 lambda: mc_null_tables(1000, [], 100, 1),
+                 lambda: boundary_comparison(spec, (), 0.1, 10, 1, cache_dir=tmp_path,
+                                             table_reps=100)):
+        with pytest.raises(DomainError, match="at least one"):
             call()
     assert list(tmp_path.iterdir()) == []
 
@@ -736,6 +750,43 @@ def test_long_rows_in_any_order_equal_the_full_candidate_max(monkeypatch):
             for s, v in zip(s_values, vals[:, j]):
                 assert v == _full_candidate_reference(row, s), (j, s)
     assert np.array_equal(stack, given)  # the rows are read, not sorted in place
+
+
+def test_uniform_long_rows_make_one_member_pass(monkeypatch):
+    # t from the top buckets leaves no other bucket in reach of a uniform row's maxima
+    n = 100_000
+    stack = np.array([uniform_open(replicate_rng(39, rep), n) for rep in range(20)])
+    passes = []
+    real_k_members = divergence._k_members
+    monkeypatch.setattr(divergence, "_k_members",
+                        lambda *a: passes.append(1) or real_k_members(*a))
+    for s_values in (list(FIVE_S), [2.0]):
+        passes.clear()
+        _sup(stack, s_values)
+        assert len(passes) == len(stack), s_values
+
+
+def test_a_row_whose_maxima_need_the_second_member_pass(monkeypatch):
+    # a strong dense signal row, replicate_rng(18, 0): the first of seeds 0..39 whose
+    # maxima the top buckets miss for some s, so the second pass must find them
+    n = 100_000
+    spec = MixtureSpec(mixture_family("scale-exponential", regime="dense"), 0.1, 0.2, n)
+    row = np.empty(n)
+    _sample_pvalues(spec, replicate_rng(18, 0), row)
+    stack = np.array([uniform_open(replicate_rng(40, 0), n), row])
+    s_values = [*SCREENED_S, 2.0, -1.0]
+    maxima = []
+    real_k_members = divergence._k_members
+    monkeypatch.setattr(divergence, "_k_members",
+                        lambda *a: maxima.append(real_k_members(*a)) or maxima[-1])
+    with np.errstate(over="ignore"):  # as the public wrappers run it
+        one = _sup(row[None], s_values)[:, 0]
+        assert len(maxima) == 2 and np.any(maxima[1] > maxima[0])
+        both = _sup(stack, s_values)
+        assert np.array_equal(both[:, 0], _sup(stack[:1], s_values)[:, 0])
+    assert np.array_equal(both[:, 1], one)
+    for s, v in zip(s_values, one):
+        assert v == _full_candidate_reference(np.sort(row), s), s
 
 
 def _stacks():

@@ -316,6 +316,13 @@ def test_numpy_integer_seeds_run_as_their_int(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_numpy_integer_table_reps_build_the_same_tables(tmp_path):
+    as_np = power_sweep(_smoke_config(tmp_path / "np", table_reps=np.int64(200)))
+    assert as_np == power_sweep(_smoke_config(tmp_path / "int"))
+    files = {d: {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("np", "int")}
+    assert files["np"] == files["int"] and len(files["np"]) == 1
+
+
 def test_power_sweep_null_override(tmp_path):
     cfg = _smoke_config(tmp_path, rs=(1.5,), epsilon_override=0.0, reps=100,
                         table_reps=1000)

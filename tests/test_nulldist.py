@@ -333,6 +333,18 @@ def test_table_key_is_canonical_in_a_numpy_integer_seed(tmp_path):
     assert loaded is not None and _same_table(loaded, as_int)
 
 
+def test_table_key_is_canonical_in_numpy_integer_n_and_reps(tmp_path):
+    # np.int64 n and reps name, write and load the same file as Python ints
+    assert cache_path(tmp_path, np.int64(1000), 2.0, 100, 5) == cache_path(tmp_path, 1000, 2.0, 100, 5)
+    as_int = ensure_tables(tmp_path / "int", 1000, [2.0], 100, 5)[2.0]
+    as_np = ensure_tables(tmp_path / "np", np.int64(1000), [2.0], np.int64(100), 5)[2.0]
+    assert type(as_np.n) is int and type(as_np.reps) is int and _same_table(as_np, as_int)
+    (path,) = (tmp_path / "np").iterdir()
+    assert path.read_bytes() == cache_path(tmp_path / "int", 1000, 2.0, 100, 5).read_bytes()
+    loaded = cache_load(tmp_path / "np", np.int64(1000), 2.0, np.int64(100), 5)
+    assert loaded is not None and _same_table(loaded, as_int)
+
+
 def test_stats_roundtrip_exactly_through_json(tmp_path):
     table = mc_null_tables(25, [0.5], 100, 321)[0]
     cache_store(table, tmp_path)
