@@ -228,6 +228,65 @@ def test_run_lr_test_zero_threshold():
     assert run_lr_test(big, spec) is True
 
 
+#: Each log-ratio form: (family, regime, parameters, beta, r).
+LLR_FORMS = {
+    "normal": ("normal", "sparse", {}, 0.6, 0.5),
+    "heteroscedastic-normal": ("heteroscedastic-normal", "sparse", {"sigma0": 2.0}, 0.6, 0.3),
+    "scale-exponential-dense": ("scale-exponential", "dense", {}, 0.1, 0.4),
+    "scale-exponential-sparse": ("scale-exponential", "sparse", {}, 0.6, 0.5),
+    "location-gumbel": ("location-gumbel", "sparse", {}, 0.6, 0.5),
+    "scale-frechet": ("scale-frechet", "sparse", {}, 0.6, 0.5),
+    "scale-frechet-shape-2.5": ("scale-frechet", "dense", {"shape": 2.5}, 0.2, 0.3),
+}
+
+
+def _llr_rows():
+    """A mixture sample of n = 1e4 per log-ratio form, and for the two normal forms the
+    same sample with every 997th value at 300 or beyond: eleven terms past l = 709."""
+    for key, (name, regime, params, beta, r) in LLR_FORMS.items():
+        spec = MixtureSpec(mixture_family(name, regime=regime, **params), beta, r, 10_000)
+        x = sample_mixture(spec, replicate_rng(41, 0))[0]
+        yield key, spec, x
+        if "normal" in name:
+            far = x.copy()
+            far[::997] = 300.0 + np.arange(far[::997].size)
+            yield key + "-past-709", spec, far
+
+
+# repr of log_likelihood_ratio on each of _llr_rows(): any moved term's last bit moves these.
+PINNED_LLR = {
+    "normal": "30.875981147092624",
+    "normal-past-709": "10101.399441123387",
+    "heteroscedastic-normal": "47.07784916924831",
+    "heteroscedastic-normal-past-709": "385712.18695989664",
+    "scale-exponential-dense": "-0.6200468617010616",
+    "scale-exponential-sparse": "1.228309396280543",
+    "location-gumbel": "9.333737141191845",
+    "scale-frechet": "9.333737141191845",
+    "scale-frechet-shape-2.5": "1.4875020470400064",
+}
+
+
+def test_llr_is_pinned_for_every_log_ratio_form():
+    got = {key: repr(log_likelihood_ratio(x, spec)) for key, spec, x in _llr_rows()}
+    assert got == PINNED_LLR
+
+
+def test_llr_leaves_its_input_unchanged():
+    spec = MixtureSpec(mixture_family("normal"), 0.6, 0.5, 1000)
+    x = sample_mixture(spec, 12)[0]
+    want = log_likelihood_ratio(x.copy(), spec)
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    for data in (x.tolist(), x, x.astype(np.float32), frozen):
+        before = np.array(data, copy=True)
+        got = log_likelihood_ratio(data, spec)
+        np.testing.assert_array_equal(np.asarray(data), before)
+        assert np.asarray(data).dtype == before.dtype
+        if np.asarray(data).dtype == np.float64:
+            assert got == want
+
+
 # --------------------------------------------------------------------------
 # power sweeps
 

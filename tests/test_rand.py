@@ -72,6 +72,18 @@ def test_uniform_open_is_strictly_interior():
     np.testing.assert_array_equal(k, np.round(k))
 
 
+def test_chunked_uniform_open_is_one_integers_call():
+    # values and the stream after them, across chunk edges and the one-chunk sizes
+    for size in (0, 1, 8191, 8192, 8193, 3 * 8192 + 5, 100_000):
+        got, ref = replicate_rng(21, size), replicate_rng(21, size)
+        u = uniform_open(got, size)
+        k = ref.integers(1, 1 << 53, size=size, dtype=np.int64)
+        assert u.tobytes() == (k * 2.0**-53).tobytes(), size
+        for after in (lambda r: r.random(3), lambda r: r.integers(0, 7, size=5, dtype=np.int32),
+                      lambda r: r.integers(1, 1 << 53, size=9)):
+            np.testing.assert_array_equal(after(got), after(ref))
+
+
 def test_uniform_open_is_uniform():
     u = uniform_open(replicate_rng(10, 0), 20_000)
     assert stats.kstest(u, "uniform").pvalue > 0.01
