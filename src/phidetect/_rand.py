@@ -26,6 +26,9 @@ RNG_ID = "philox4x64-counter128-v1"
 
 _INV_2_53 = 1.0 / (1 << 53)
 
+#: Values per ``integers`` call of a draw: 2^13 int64s, 64 KB.
+_CHUNK = 1 << 13
+
 
 def replicate_rng(seed: int, replicate: int) -> Generator:
     """Generator for one replicate, independent of all other replicates: its
@@ -63,9 +66,15 @@ def uniform_open(rng: Generator, size: int) -> np.ndarray:
     return _fill_uniform(rng, np.empty(size))
 
 
-def _fill_uniform(rng: Generator, row: np.ndarray) -> np.ndarray:  # uniform_open into row
-    k = rng.integers(1, 1 << 53, size=row.size, dtype=np.int64)
-    return np.multiply(k, _INV_2_53, out=row)
+def _fill_uniform(rng: Generator, row: np.ndarray) -> np.ndarray:
+    """``uniform_open`` into ``row``, ``_CHUNK`` integers at a time.  Lemire's
+    bounded draw takes one raw Philox word per value (redrawing only when its low
+    word is below 2048), so the values and the stream position after the call are
+    those of one ``integers`` call of ``row.size``; no n-long integer array is made."""
+    for i in range(0, row.size, _CHUNK):
+        part = row[i : i + _CHUNK]
+        np.multiply(rng.integers(1, 1 << 53, size=part.size, dtype=np.int64), _INV_2_53, out=part)
+    return row
 
 
 def stable_seed(*parts: int | float | str) -> int:

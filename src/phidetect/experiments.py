@@ -128,18 +128,25 @@ def run_divergence_test(
 
 def log_likelihood_ratio(data, spec: MixtureSpec) -> float:
     """log dQ_n^n/dP_0^n = sum_i log1p(eps * expm1(l_i)), l_i = log(d mu_n/d P_0)(x_i)."""
-    x = np.asarray(data, dtype=np.float64)
+    return _llr(np.array(data, dtype=np.float64).ravel(), spec)
+
+
+def _llr(x: np.ndarray, spec: MixtureSpec) -> float:
+    """``log_likelihood_ratio`` of a 1-d float64 array the caller owns, computed over
+    it: l, then each term, is written into x, so no other n-long array is made."""
     eps = spec.epsilon
     if eps == 0.0:
         return 0.0
-    ratio = spec.log_ratio()
-    log_r = np.asarray(ratio(x), dtype=np.float64).ravel()  # 1-d: terms are assigned below
+    spec.family.law._log_ratio_over(spec.theta)(x)
     if eps == 1.0:
-        return float(np.sum(log_r))
-    terms = np.log1p(eps * np.expm1(np.minimum(log_r, 709.0)))  # exact for small eps and l
-    big = log_r > 709.0  # past expm1's overflow, log((1-eps) + eps e^l) as a logaddexp
-    terms[big] = np.logaddexp(math.log1p(-eps), math.log(eps) + log_r[big])
-    return float(np.sum(terms))
+        return float(np.sum(x))
+    big = np.flatnonzero(x > 709.0) if x.size and x.max() > 709.0 else []
+    # past expm1's overflow, log((1-eps) + eps e^l) as a logaddexp
+    past = np.logaddexp(math.log1p(-eps), math.log(eps) + x[big])
+    np.minimum(x, 709.0, out=x)
+    np.log1p(np.multiply(np.expm1(x, out=x), eps, out=x), out=x)  # exact for small eps and l
+    x[big] = past
+    return float(np.sum(x))
 
 
 def run_lr_test(data, spec: MixtureSpec) -> bool:
@@ -346,8 +353,8 @@ def boundary_comparison(
     def rejections(tag, fill):  # per s, and of the LR test, over the replicates
         lr = []
 
-        def draw(rng, row):  # the LR test reads x here: the next replicate reuses rng
-            lr.append(run_lr_test(fill(rng, row), spec))
+        def draw(rng, row):  # x is the fill's own array, not the row: the LR overwrites it
+            lr.append(_llr(fill(rng, row), spec) >= 0.0)
 
         stats = _mc_stats(spec.n, s_list, stable_seed(seed, tag), range(reps), draw)
         return np.count_nonzero(stats > crits[:, None], axis=1), sum(lr)

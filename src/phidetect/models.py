@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rand import _fill_uniform, replicate_rng, uniform_open
+from ._rand import _CHUNK, _fill_uniform, replicate_rng, uniform_open
 from .divergence import SortedPValueSample
 from .errors import DomainError
 
@@ -171,8 +171,8 @@ class Exponential(Distribution):
         return -self.scale * np.log(_check_unit_open(eps))
 
     def _exp1(self, x):
-        """g(x) = x/scale, Exp(1) under this law."""
-        return x / self.scale
+        """g(x) = x/scale, Exp(1) under this law, written over the float64 array x."""
+        return np.divide(x, self.scale, out=x)
 
     def _exp1_tilt(self, theta: float) -> Exponential:
         return Exponential(self.scale / (1.0 + theta))
@@ -201,8 +201,8 @@ class Gumbel(Distribution):
         return self.loc - np.log(-np.log1p(-_check_unit_open(eps)))
 
     def _exp1(self, x):
-        """g(x) = exp(-(x - loc)), Exp(1) under this law."""
-        return np.exp(-(x - self.loc))
+        """g(x) = exp(-(x - loc)), Exp(1) under this law, written over the float64 array x."""
+        return np.exp(np.negative(np.subtract(x, self.loc, out=x), out=x), out=x)
 
     def _exp1_tilt(self, theta: float) -> Gumbel:
         return Gumbel(self.loc + math.log1p(theta))
@@ -236,8 +236,8 @@ class Frechet(Distribution):
         return self.scale * (-np.log1p(-_check_unit_open(eps))) ** (-1.0 / self.shape)
 
     def _exp1(self, x):
-        """g(x) = (x/scale)^-shape, Exp(1) under this law."""
-        return (x / self.scale) ** (-self.shape)
+        """g(x) = (x/scale)^-shape, Exp(1) under this law, written over the float64 array x."""
+        return np.power(np.divide(x, self.scale, out=x), -self.shape, out=x)
 
     def _exp1_tilt(self, theta: float) -> Frechet:
         try:
@@ -271,7 +271,8 @@ class ExponentialFamily:
 
     def T(self, x):
         """The natural statistic T = -g, vectorised."""
-        return -self.base._exp1(np.asarray(x, dtype=np.float64))
+        x = np.array(x, dtype=np.float64)
+        return np.negative(self.base._exp1(x), out=x)
 
     def _check_theta(self, theta: float) -> float:
         theta = float(theta)
@@ -282,9 +283,17 @@ class ExponentialFamily:
 
     def log_ratio(self, theta: float) -> Callable:
         """x -> log(dP_theta/dP_0)(x) = log C(theta) + theta*T(x)."""
+        return _on_copy(self._log_ratio_over(theta))
+
+    def _log_ratio_over(self, theta: float) -> Callable:  # log_ratio, over a float64 x
         theta = self._check_theta(theta)
         log_c = math.log1p(theta)
-        return lambda x: log_c + theta * self.T(x)
+
+        def ratio(x):
+            np.negative(self.base._exp1(x), out=x)  # T
+            return np.add(np.multiply(x, theta, out=x), log_c, out=x)
+
+        return ratio
 
     def tilted(self, theta: float) -> Distribution:
         """The law P_theta."""
@@ -296,6 +305,11 @@ class ExponentialFamily:
 
     def boundary_kind(self, regime: str) -> str:
         return f"expfam-{regime}"
+
+
+def _on_copy(ratio: Callable) -> Callable:
+    """A log ratio that writes over its float64 argument, applied to a copy of x."""
+    return lambda x: ratio(np.array(x, dtype=np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -321,13 +335,23 @@ class _NormalShift:
 
     def log_ratio(self, theta: float) -> Callable:
         """x -> log(dN(theta, sigma0^2)/dN(0, 1))(x)."""
-        s = self.sigma0
-        if s is None:
-            return lambda x: theta * np.asarray(x, dtype=np.float64) - 0.5 * theta * theta
+        return _on_copy(self._log_ratio_over(theta))
 
-        def ratio(x):
-            xa = np.asarray(x, dtype=np.float64)
-            return -math.log(s) + 0.5 * xa**2 - 0.5 * ((xa - theta) / s) ** 2
+    def _log_ratio_over(self, theta: float) -> Callable:  # log_ratio, over a float64 x
+        s = self.sigma0
+        if s is None:  # theta x - theta^2/2
+            return lambda x: np.subtract(np.multiply(x, theta, out=x), 0.5 * theta * theta, out=x)
+
+        def ratio(x):  # -log s + x^2/2 - ((x - theta)/s)^2/2, the last term in chunks
+            flat = x.reshape(-1)
+            w = np.empty(min(flat.size, _CHUNK))
+            for i in range(0, flat.size, _CHUNK):
+                b = flat[i : i + _CHUNK]
+                t = w[: b.size]
+                np.square(np.divide(np.subtract(b, theta, out=t), s, out=t), out=t)
+                np.add(np.multiply(np.square(b, out=b), 0.5, out=b), -math.log(s), out=b)
+                np.subtract(b, np.multiply(t, 0.5, out=t), out=b)
+            return x
 
         return ratio
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -270,6 +271,23 @@ PINNED_LLR = {
 def test_llr_is_pinned_for_every_log_ratio_form():
     got = {key: repr(log_likelihood_ratio(x, spec)) for key, spec, x in _llr_rows()}
     assert got == PINNED_LLR
+
+
+def test_warm_llr_makes_no_n_long_array():
+    n = 100_000
+    for key, (name, regime, params, beta, r) in LLR_FORMS.items():
+        spec = MixtureSpec(mixture_family(name, regime=regime, **params), beta, r, n)
+        x = sample_mixture(spec, replicate_rng(41, 0))[0]
+        want = log_likelihood_ratio(x, spec)
+        y = x.copy()
+        tracemalloc.start()
+        try:
+            got = pexp._llr(y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want, key
+        assert peak < n, (key, peak)  # under one byte a value
 
 
 def test_llr_leaves_its_input_unchanged():
