@@ -78,6 +78,10 @@ class Distribution:
     def cdf(self, x):
         raise NotImplementedError
 
+    def sf(self, x):
+        """Survival function 1 - cdf(x), without the cancellation near cdf = 1."""
+        raise NotImplementedError
+
     def quantile(self, u):
         raise NotImplementedError
 
@@ -105,6 +109,9 @@ class Uniform(Distribution):
 
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+
+    def sf(self, x):
+        return np.clip(1.0 - np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
     def quantile(self, u):
         return _check_unit_open(u)
@@ -139,6 +146,11 @@ class Normal(Distribution):
         with np.errstate(over="ignore"):  # (x - mu)/sigma = +-inf: cdf 0 or 1
             return ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
 
+    def sf(self, x):
+        from scipy.special import ndtr
+        with np.errstate(over="ignore"):  # (x - mu)/sigma = +-inf: sf 1 or 0
+            return ndtr(-((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma))
+
     def quantile(self, u):
         from scipy.special import ndtri
         return self.mu + self.sigma * ndtri(_check_unit_open(u))
@@ -163,6 +175,9 @@ class Exponential(Distribution):
 
     def cdf(self, x):
         return -np.expm1(-np.maximum(np.asarray(x, dtype=np.float64), 0.0) / self.scale)
+
+    def sf(self, x):
+        return np.exp(-np.maximum(np.asarray(x, dtype=np.float64), 0.0) / self.scale)
 
     def quantile(self, u):
         return -self.scale * np.log1p(-_check_unit_open(u))
@@ -194,6 +209,10 @@ class Gumbel(Distribution):
         with np.errstate(over="ignore"):  # exp(-(x - loc)) = inf far below loc: cdf 0
             return np.exp(-np.exp(-(np.asarray(x, dtype=np.float64) - self.loc)))
 
+    def sf(self, x):
+        with np.errstate(over="ignore"):  # exp(-(x - loc)) = inf far below loc: sf 1
+            return -np.expm1(-np.exp(-(np.asarray(x, dtype=np.float64) - self.loc)))
+
     def quantile(self, u):
         return self.loc - np.log(-np.log(_check_unit_open(u)))
 
@@ -223,11 +242,19 @@ class Frechet(Distribution):
             raise DomainError("frechet model needs finite shape > 0 and finite scale > 0")
 
     def cdf(self, x):
+        pos, g = self._g_above_0(x)
+        return np.where(pos, np.exp(-g), 0.0)
+
+    def sf(self, x):
+        pos, g = self._g_above_0(x)
+        return np.where(pos, -np.expm1(-g), 1.0)
+
+    def _g_above_0(self, x):
+        """(x > 0, (x/scale)^-shape where x > 0): the support mask and g, for cdf and sf."""
         xa = np.asarray(x, dtype=np.float64)
         pos = xa > 0.0
-        with np.errstate(over="ignore"):  # (x/scale)^-shape = 0 or inf in the tails: cdf 1 or 0
-            g = (np.where(pos, xa, 1.0) / self.scale) ** (-self.shape)
-        return np.where(pos, np.exp(-g), 0.0)
+        with np.errstate(over="ignore"):  # g = 0 or inf in the tails: cdf 1 or 0
+            return pos, (np.where(pos, xa, 1.0) / self.scale) ** (-self.shape)
 
     def quantile(self, u):
         return self.scale * (-np.log(_check_unit_open(u))) ** (-1.0 / self.shape)
@@ -554,7 +581,7 @@ def _diagnostic_terms(spec: MixtureSpec, v_grid):
     if np.any(~((v > 0.0) & (v < 0.5))):
         raise DomainError("diagnostic grid must lie inside (0, 1/2)")
     lower = signal_cdf_transformed(spec, v)
-    upper = 1.0 - signal_cdf_transformed(spec, 1.0 - v)
+    upper = spec.signal.sf(spec.noise.quantile_upper(v))
     return v, lower, upper, math.sqrt(spec.n) * spec.epsilon / np.sqrt(v)
 
 

@@ -3,6 +3,7 @@ import pickle
 import warnings
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -29,8 +30,9 @@ from phidetect import (
     to_pvalues,
     uniform_open,
 )
-from phidetect.models import _FAMILIES, Distribution, _sample_pvalues
+from phidetect.models import _FAMILIES, Distribution, _diagnostic_terms, _sample_pvalues
 
+EPS = float(np.finfo(np.float64).eps)
 DISTS = [
     Uniform(),
     Normal(2.0, 3.0),
@@ -78,6 +80,7 @@ def test_normal_is_ndtr_and_ndtri_bit_for_bit(mu, sigma):
                         1.0 - 10.0 ** -np.arange(1.0, 16.0)])
     x = mu + sigma * np.linspace(-38.0, 38.0, 153)
     np.testing.assert_array_equal(dist.cdf(x), ndtr((x - mu) / sigma))
+    np.testing.assert_array_equal(dist.sf(x), ndtr(-((x - mu) / sigma)))
     np.testing.assert_array_equal(dist.quantile(u), mu + sigma * ndtri(u))
     np.testing.assert_array_equal(dist.quantile_upper(u), mu - sigma * ndtri(u))
     assert dist.cdf(0.5) == ndtr((0.5 - mu) / sigma)  # a scalar too
@@ -129,6 +132,8 @@ def test_cdf_is_0_below_the_support_and_1_above_it(dist, below, above):
         warnings.simplefilter("error")  # and with no RuntimeWarning
         assert dist.cdf(np.array(below + above)).tolist() == want
         assert [dist.cdf(x) for x in below + above] == want
+        assert dist.sf(np.array(below + above)).tolist() == [1.0 - w for w in want]
+        assert [dist.sf(x) for x in below + above] == [1.0 - w for w in want]
 
 
 def test_parameter_validation():
@@ -506,6 +511,9 @@ class _Window(Distribution):
     def quantile(self, u):
         return np.asarray(u, dtype=np.float64) * self.width
 
+    def sf(self, x):
+        return 1.0 - self.cdf(x)
+
 
 @dataclass(frozen=True)
 class _WindowLaw:
@@ -563,6 +571,58 @@ def test_diagnostic_grid_validation():
     for bad in ([0.5], [0.0, 0.1], [-0.1], [0.3, 0.6]):
         with pytest.raises(DomainError):
             diagnostic_H(spec, bad)
+
+
+def _mp_quantile_upper(law, v):
+    v = mpmath.mpf(v)
+    if isinstance(law, Normal):
+        return law.mu + law.sigma * mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * v)
+    if isinstance(law, Exponential):
+        return -law.scale * mpmath.log(v)
+    if isinstance(law, Gumbel):
+        return law.loc - mpmath.log(-mpmath.log1p(-v))
+    return law.scale * (-mpmath.log1p(-v)) ** (-1 / mpmath.mpf(law.shape))  # Frechet
+
+
+def _mp_sf(law, x):
+    if isinstance(law, Normal):
+        return mpmath.erfc((x - law.mu) / (law.sigma * mpmath.sqrt(2))) / 2
+    if isinstance(law, Exponential):
+        return mpmath.exp(-x / law.scale)
+    if isinstance(law, Gumbel):
+        return -mpmath.expm1(-mpmath.exp(-(x - law.loc)))
+    return -mpmath.expm1(-(x / law.scale) ** -law.shape)  # Frechet
+
+
+@pytest.mark.parametrize("name, regime, params", [
+    ("normal", "sparse", {}), ("heteroscedastic-normal", "sparse", {"sigma0": 2.0}),
+    ("heteroscedastic-normal", "sparse", {"sigma0": 0.5}), ("scale-exponential", "dense", {}),
+    ("scale-exponential", "sparse", {}), ("location-gumbel", "sparse", {}),
+    ("location-gumbel", "dense", {}), ("scale-frechet", "sparse", {}),
+    ("scale-frechet", "dense", {"shape": 2.5}),
+])
+def test_upper_signal_mass_matches_mpmath_deep_in_the_tail(name, regime, params):
+    """mu[1-v, 1) = sf_signal(Q0_upper(v)) against mpmath.  The bound is 4 eps times
+    1 + kappa + |log v|: kappa = |x sf'(x)/sf(x)| carries x's rounding through sf, and
+    |log v| bounds the relative error a once-rounded log-scale step (Frechet's
+    exponent -1/shape) leaves in x.  Through 1 - cdf(1 - v) the normal mass at
+    v = 1e-14 was 4.6e-4 relative off, about 2e12 eps."""
+    beta, r = (0.6, 0.5) if regime == "sparse" else (0.3, 0.2)
+    spec = MixtureSpec(mixture_family(name, regime=regime, **params), beta, r, 10_000)
+    vs = [0.4, 0.1, 1e-2, 1e-4, 1e-8, 1e-12, 1e-14, 1e-16, 1e-20, 1e-50, 1e-100]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # underflow to 0 is silent
+        upper = _diagnostic_terms(spec, vs)[2]
+    with mpmath.workdps(130):  # 1 - 2v at v = 1e-100 for the normal quantile
+        for v, g in zip(vs, upper):
+            x = _mp_quantile_upper(spec.noise, v)
+            want = _mp_sf(spec.signal, x)
+            if want < 2.0**-1022:  # below the normal doubles: agree to the smallest one
+                assert abs(g - want) < 2.0**-1022, v
+                continue
+            kappa = abs(x * mpmath.diff(lambda y: _mp_sf(spec.signal, y), x) / want)
+            bound = 4 * EPS * (1 + kappa + abs(math.log(v)))
+            assert abs(g - want) / want < bound, (v, float(abs(g - want) / want / EPS))
 
 
 def test_h_exponent_zero_for_null_signal():
