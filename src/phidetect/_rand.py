@@ -26,7 +26,8 @@ RNG_ID = "philox4x64-counter128-v1"
 
 _INV_2_53 = 1.0 / (1 << 53)
 
-#: Values per ``integers`` call of a draw: 2^13 int64s, 64 KB.
+#: Values a loop over an n-long array takes at a time: 2^13, 64 KB of int64 or
+#: float64 (a draw's integers, the heteroscedastic log ratio's scratch).
 _CHUNK = 1 << 13
 
 

@@ -140,8 +140,9 @@ def _llr(x: np.ndarray, spec: MixtureSpec) -> float:
     spec.family.law._log_ratio_over(spec.theta)(x)
     if eps == 1.0:
         return float(np.sum(x))
+    # past expm1's overflow, log((1-eps) + eps e^l) as a logaddexp; the max first,
+    # since the mask is n bytes and most rows have no such term
     big = np.flatnonzero(x > 709.0) if x.size and x.max() > 709.0 else []
-    # past expm1's overflow, log((1-eps) + eps e^l) as a logaddexp
     past = np.logaddexp(math.log1p(-eps), math.log(eps) + x[big])
     np.minimum(x, 709.0, out=x)
     np.log1p(np.multiply(np.expm1(x, out=x), eps, out=x), out=x)  # exact for small eps and l
